@@ -6,19 +6,15 @@ head at test time, and inference uses a weighted nearest-centroid classifier
 built from the adapted features.
 """
 
-from .adaptation import (
-    AdaptationConfig,
-    AdaptedState,
-    AdapterParams,
-    ProjectionHead,
-    adapt_task,
-    forward_features,
-    init_adapter,
-    init_head,
-    project,
-    sgd_step,
+from .adaptation import AblationFlags, AdaptationConfig, AdaptedState, adapt_task
+from .classifier import (
+    PrototypeSet,
+    build_classifier,
+    classify,
+    evaluate,
+    plain_ncc_accuracy,
+    predict,
 )
-from .classifier import PrototypeSet, build_classifier, classify, evaluate, plain_ncc_accuracy
 from .episodes import (
     QuerySample,
     SupportSample,
@@ -43,7 +39,6 @@ from .errors import (
 )
 from .harness import (
     ABLATION_PRESETS,
-    AblationFlags,
     AggregateReport,
     BenchmarkConfig,
     EpisodeReport,
@@ -55,29 +50,36 @@ from .losses import (
     EmbeddingBatch,
     LossHyperparams,
     LossValue,
-    class_prototypes,
     combined_loss,
     global_dispersion_loss,
     local_compactness_loss,
-    pairwise_local_term,
-    region_class_posterior,
-)
-from .numerics import (
-    GradCheckConfig,
-    cosine_similarity,
-    finite_difference_gradient,
-    l2_normalize,
-    softmax,
 )
 from .relevance import (
     ImageWeightAccumulator,
-    RegionIndex,
     RegionWeightTable,
     accumulate_image_weights,
-    build_region_sets,
     region_weights,
-    relevance_scores,
     uniform_weight_table,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # adaptation
+    "AblationFlags", "AdaptationConfig", "AdaptedState", "adapt_task",
+    # inference
+    "PrototypeSet", "build_classifier", "classify", "evaluate", "plain_ncc_accuracy", "predict",
+    # episodes
+    "QuerySample", "SupportSample", "SyntheticNoiseConfig", "TaskEpisode", "corrupt_labels",
+    "generate_synthetic_episode", "load_episode_file", "resample_regions", "save_episode_file",
+    # errors
+    "DegenerateVectorError", "DetaError", "DivergenceError", "EmptyClassError",
+    "InvalidParameterError", "MissingWeightError", "OracleFailure", "ParseError", "SchemaError",
+    # benchmark harness
+    "ABLATION_PRESETS", "AggregateReport", "BenchmarkConfig", "EpisodeReport", "emit_report",
+    "load_report_json", "run_benchmark",
+    # losses
+    "EmbeddingBatch", "LossHyperparams", "LossValue", "combined_loss", "global_dispersion_loss",
+    "local_compactness_loss",
+    # relevance
+    "ImageWeightAccumulator", "RegionWeightTable", "accumulate_image_weights", "region_weights",
+    "uniform_weight_table",
+]

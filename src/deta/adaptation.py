@@ -18,9 +18,9 @@ import numpy as np
 from .episodes import TaskEpisode, resample_regions
 from .errors import DegenerateVectorError, DivergenceError, InvalidParameterError
 from .losses import EmbeddingBatch, LossHyperparams, combined_loss
+from .numerics import check_finite
 from .relevance import (
     ImageWeightAccumulator,
-    RegionIndex,
     RegionWeightTable,
     accumulate_image_weights,
     region_weights,
@@ -141,8 +141,23 @@ def sgd_step(
 
 
 @dataclass(frozen=True)
+class AblationFlags:
+    """Which components of the method are active."""
+
+    cora: bool = True
+    local_loss: bool = True
+    global_loss: bool = True
+    accumulator: bool = True
+    out_of_class_term: bool = True
+
+    def mask(self) -> str:
+        bits = (self.cora, self.local_loss, self.global_loss, self.accumulator, self.out_of_class_term)
+        return "".join("1" if b else "0" for b in bits)
+
+
+@dataclass(frozen=True)
 class AdaptationConfig:
-    """Knobs of the per-task adaptation loop."""
+    """Knobs of the per-task adaptation loop. The head's hidden width is the feature dimension."""
 
     iterations: int = 40
     learning_rate: float = 0.05
@@ -150,21 +165,21 @@ class AdaptationConfig:
     momentum: float = 0.7
     hp: LossHyperparams = field(default_factory=LossHyperparams)
     seed: int = 0
-    hidden_width: int | None = None  # defaults to the feature dimension
     embed_dim: int = 128
     jitter: float = 0.05  # region perturbation for episodes without a generative source
-    use_cora: bool = True
-    use_local_loss: bool = True
-    use_global_loss: bool = True
-    use_accumulator: bool = True
-    use_out_of_class: bool = True
+    ablation: AblationFlags = field(default_factory=AblationFlags)
     record_weight_trace: bool = False
 
     def __post_init__(self):
+        check_finite(learning_rate=self.learning_rate, jitter=self.jitter)
         if self.iterations < 1:
             raise InvalidParameterError("iterations must be >= 1")
         if self.learning_rate < 0.0:
             raise InvalidParameterError("learning rate must be non-negative")
+        if self.jitter < 0.0:
+            raise InvalidParameterError("jitter must be non-negative")
+        if not 0.0 <= self.momentum < 1.0:
+            raise InvalidParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.k_regions < 1:
             raise InvalidParameterError("k_regions must be >= 1")
         if self.seed < 0:
@@ -183,11 +198,15 @@ class LossSummary:
 
 @dataclass
 class AdaptedState:
-    """Everything the inference stage needs after adaptation finished."""
+    """Everything the inference stage needs after adaptation finished.
+
+    The accumulator's omega follows support order; sample_ids names its entries.
+    """
 
     adapter: AdapterParams
     head: ProjectionHead
     accumulator: ImageWeightAccumulator
+    sample_ids: tuple[int, ...]
     loss_trace: list[LossSummary]
     final_image_weights: dict[int, float]
     config: AdaptationConfig
@@ -202,7 +221,9 @@ class AdaptedState:
                 "w2": self.head.w2.tolist(),
                 "b2": self.head.b2.tolist(),
             },
-            "omega": {str(k): v for k, v in sorted(self.accumulator.omega.items())},
+            "omega": {
+                str(k): v for k, v in sorted(zip(self.sample_ids, self.accumulator.omega.tolist()))
+            },
             "final_image_weights": {str(k): v for k, v in sorted(self.final_image_weights.items())},
             "iterations": self.accumulator.iteration,
             "loss_trace": [
@@ -241,90 +262,84 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
 
     Deterministic for a fixed (episode, config) pair. Raises DivergenceError,
     tagged with the failing iteration, if any loss or gradient turns
-    non-finite.
+    non-finite. Every per-iteration array follows support order, with the k
+    regions of each sample in consecutive rows.
     """
     d = episode.feature_dim
-    hidden = cfg.hidden_width if cfg.hidden_width is not None else d
+    k = cfg.k_regions
+    ab = cfg.ablation
     base = np.random.SeedSequence([cfg.seed, episode.seed])
     init_ss, iter_ss = base.spawn(2)
     iter_seeds = iter_ss.generate_state(cfg.iterations, dtype=np.uint64)
 
     adapter = init_adapter(d)
-    head = init_head(d, hidden, cfg.embed_dim, np.random.default_rng(init_ss))
+    head = init_head(d, d, cfg.embed_dim, np.random.default_rng(init_ss))
     acc = ImageWeightAccumulator(momentum=cfg.momentum)
 
-    sample_ids = [s.sample_id for s in episode.support]
-    labels = episode.labels()
+    sample_ids = tuple(s.sample_id for s in episode.support)
+    n = len(sample_ids)
+    class_of = np.array([s.label for s in episode.support])
+    sample_of = np.repeat(np.arange(n), k)
     x_img = np.stack([np.asarray(s.image_feature, dtype=np.float64) for s in episode.support])
 
     loss_trace: list[LossSummary] = []
     weight_trace: list[dict] | None = [] if cfg.record_weight_trace else None
-    train = cfg.use_local_loss or cfg.use_global_loss
-    instantaneous: dict[int, float] = {}
+    trace_order = sorted(range(n), key=sample_ids.__getitem__)
+    train = ab.local_loss or ab.global_loss
 
     for t in range(1, cfg.iterations + 1):
-        drawn = resample_regions(episode, cfg.k_regions, cfg.jitter, int(iter_seeds[t - 1]))
-        keys: list[RegionIndex] = []
-        rows = []
-        for sid in sample_ids:
-            for slot in range(cfg.k_regions):
-                keys.append(RegionIndex(sample_id=sid, region_slot=slot, class_id=labels[sid]))
-                rows.append(drawn[sid][slot])
-        x_reg = np.stack(rows)
+        drawn = resample_regions(episode, k, cfg.jitter, int(iter_seeds[t - 1]))
+        x_reg = drawn.reshape(n * k, d)
 
         a_img = forward_features(adapter, x_img)
         a_reg = forward_features(adapter, x_reg)
 
-        region_feats = {key: a_reg[p] for p, key in enumerate(keys)}
         table: RegionWeightTable = (
-            region_weights(region_feats, use_out_of_class=cfg.use_out_of_class)
-            if cfg.use_cora
-            else uniform_weight_table(region_feats)
+            region_weights(a_reg, sample_of, class_of, use_out_of_class=ab.out_of_class_term)
+            if ab.cora
+            else uniform_weight_table(sample_of, class_of)
         )
         acc = accumulate_image_weights(acc, table)
         instantaneous = table.sample_means()
-        omega_used = acc.omega if cfg.use_accumulator else instantaneous
+        omega_used = acc.omega if ab.accumulator else instantaneous
 
         e_img, img_cache = head_forward(head, a_img)
         e_reg, reg_cache = head_forward(head, a_reg)
-        batch = EmbeddingBatch(
-            image_embeddings={sid: e_img[p] for p, sid in enumerate(sample_ids)},
-            region_embeddings={key: e_reg[p] for p, key in enumerate(keys)},
-            embed_dim=cfg.embed_dim,
-        )
+        batch = EmbeddingBatch(e_img, e_reg, sample_of, class_of, embed_dim=cfg.embed_dim)
 
         loss = combined_loss(
             batch,
             table.weights,
             omega_used,
-            labels,
             cfg.hp,
-            include_local=cfg.use_local_loss,
-            include_global=cfg.use_global_loss,
+            include_local=ab.local_loss,
+            include_global=ab.global_loss,
         )
         if not np.isfinite(loss.combined):
             raise DivergenceError(f"non-finite loss {loss.combined}", iteration=t)
         loss_trace.append(LossSummary(t, loss.l_local, loss.l_global, loss.combined))
 
         if weight_trace is not None:
-            for key in sorted(table.weights):
-                weight_trace.append(
-                    {
-                        "iteration": t,
-                        "sample_id": key.sample_id,
-                        "region_slot": key.region_slot,
-                        "phi": table.per_class_phi[key],
-                        "psi": table.per_class_psi[key],
-                        "lambda": table.weights[key],
-                        "omega": omega_used[key.sample_id],
-                    }
-                )
+            phi, psi = table.per_class_phi.tolist(), table.per_class_psi.tolist()
+            lam, om = table.weights.tolist(), omega_used.tolist()
+            for pos in trace_order:
+                for slot in range(k):
+                    row = pos * k + slot
+                    weight_trace.append(
+                        {
+                            "iteration": t,
+                            "sample_id": sample_ids[pos],
+                            "region_slot": slot,
+                            "phi": phi[row],
+                            "psi": psi[row],
+                            "lambda": lam[row],
+                            "omega": om[pos],
+                        }
+                    )
 
         if train:
-            d_img = np.stack([loss.image_grads[sid] for sid in sample_ids])
-            d_reg = np.stack([loss.region_grads[key] for key in keys])
-            head_g_img, da_img = head_backward(head, img_cache, d_img)
-            head_g_reg, da_reg = head_backward(head, reg_cache, d_reg)
+            head_g_img, da_img = head_backward(head, img_cache, loss.image_grads)
+            head_g_reg, da_reg = head_backward(head, reg_cache, loss.region_grads)
             dw_img, db_img = adapter_backward(x_img, da_img)
             dw_reg, db_reg = adapter_backward(x_reg, da_reg)
             grads = {
@@ -338,13 +353,14 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
             params = sgd_step(_params_of(adapter, head), grads, cfg.learning_rate, iteration=t)
             adapter, head = _rebuild(params)
 
-    final_weights = dict(acc.omega) if cfg.use_accumulator else dict(instantaneous)
+    final = acc.omega if ab.accumulator else instantaneous
     return AdaptedState(
         adapter=adapter,
         head=head,
         accumulator=acc,
+        sample_ids=sample_ids,
         loss_trace=loss_trace,
-        final_image_weights=final_weights,
+        final_image_weights=dict(zip(sample_ids, final.tolist())),
         config=cfg,
         weight_trace=weight_trace,
     )

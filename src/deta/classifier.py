@@ -9,109 +9,85 @@ lowest class id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .adaptation import AdaptedState, forward_features
 from .episodes import TaskEpisode
 from .errors import DegenerateVectorError, EmptyClassError, InvalidParameterError
-
-_METRICS = ("cosine", "euclidean")
+from .numerics import segment_mean
 
 
 @dataclass
 class PrototypeSet:
-    """Per-class centroids plus the image weights they were built from."""
+    """Per-class centroids; row c is the centroid of class c."""
 
-    centroids: dict[int, np.ndarray]
-    weight_source: dict[int, float]
-    metric: str = "cosine"
+    centroids: np.ndarray  # (way, d)
 
 
-def build_classifier(
-    features: Mapping[int, np.ndarray],
-    labels: Mapping[int, int],
-    omega: Mapping[int, float],
-    way: int | None = None,
-    metric: str = "cosine",
-) -> PrototypeSet:
-    """Build weighted class centroids: sum of omega-scaled members over member count."""
-    if metric not in _METRICS:
-        raise InvalidParameterError(f"unknown metric {metric!r}")
-    if not features:
-        raise EmptyClassError("no support features")
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for sid in sorted(features):
-        c = labels[sid]
-        vec = float(omega[sid]) * np.asarray(features[sid], dtype=np.float64)
-        sums[c] = sums[c] + vec if c in sums else vec
-        counts[c] = counts.get(c, 0) + 1
-    if way is not None:
-        empty = [c for c in range(way) if c not in counts]
-        if empty:
-            raise EmptyClassError(f"classes without support features: {empty}")
-    centroids = {c: sums[c] / counts[c] for c in sorted(sums)}
-    return PrototypeSet(centroids=centroids, weight_source=dict(omega), metric=metric)
+def build_classifier(features, class_of, omega, way: int | None = None) -> PrototypeSet:
+    """Weighted class centroids: sum of omega-scaled member rows over member count.
 
-
-def classify(query: np.ndarray, prototypes: PrototypeSet) -> tuple[int, np.ndarray]:
-    """Predict the class of one query; returns (class, score per class).
-
-    Scores follow ascending class id: cosine similarity, or negated Euclidean
-    distance for the euclidean metric. argmax with first-wins tie-breaking.
+    Row i of features is a support sample of class class_of[i] with image
+    weight omega[i]. Every class in [0, way) needs a member; way defaults to
+    one more than the largest class id.
     """
-    q = np.asarray(query, dtype=np.float64)
-    classes = sorted(prototypes.centroids)
-    if not classes:
-        raise EmptyClassError("no centroids")
-    if prototypes.metric == "cosine":
-        qn = float(np.linalg.norm(q))
-        if qn == 0.0:
-            raise DegenerateVectorError("zero-norm query")
-        scores = []
-        for c in classes:
-            mu = prototypes.centroids[c]
-            mn = float(np.linalg.norm(mu))
-            if mn == 0.0:
-                raise DegenerateVectorError(f"zero-norm centroid for class {c}")
-            scores.append(float(np.dot(q, mu) / (qn * mn)))
-        scores = np.array(scores)
-    else:
-        scores = -np.array(
-            [float(np.linalg.norm(q - prototypes.centroids[c])) for c in classes]
-        )
-    return classes[int(np.argmax(scores))], scores
+    class_of = np.asarray(class_of)
+    if class_of.size == 0:
+        raise EmptyClassError("no support features")
+    way = int(class_of.max()) + 1 if way is None else way
+    centroids, _ = segment_mean(features, class_of, way, weights=omega)
+    return PrototypeSet(centroids=centroids)
 
 
-def evaluate(episode: TaskEpisode, state: AdaptedState, metric: str = "cosine") -> float:
+def classify(queries, prototypes: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Predict the class of every query row; returns (classes, scores).
+
+    scores[q, c] is the cosine similarity of query q to the centroid of
+    class c. argmax with first-wins tie-breaking.
+    """
+    q = np.asarray(queries, dtype=np.float64)
+    mu = prototypes.centroids
+    qn = np.linalg.norm(q, axis=1)
+    if np.any(qn == 0.0):
+        raise DegenerateVectorError(f"zero-norm query at row {int(np.argmin(qn))}")
+    mn = np.linalg.norm(mu, axis=1)
+    if np.any(mn == 0.0):
+        raise DegenerateVectorError(f"zero-norm centroid for class {int(np.argmin(mn))}")
+    scores = (q @ mu.T) / (qn[:, None] * mn[None, :])
+    return np.argmax(scores, axis=1), scores
+
+
+def predict(episode: TaskEpisode, state: AdaptedState | None = None) -> np.ndarray:
+    """Predicted class of every query, in query order.
+
+    With a state, centroids are omega-weighted class means of the adapted
+    support features and queries are adapted too; without one, this is the
+    plain unweighted nearest-centroid on the raw features.
+    """
+    if not episode.queries:
+        raise InvalidParameterError("episode has no query samples")
+    support = np.stack([s.image_feature for s in episode.support])
+    queries = np.stack([q.image_feature for q in episode.queries])
+    omega = np.ones(len(support))
+    if state is not None:
+        support = forward_features(state.adapter, support)
+        queries = forward_features(state.adapter, queries)
+        omega = np.array([state.final_image_weights[s.sample_id] for s in episode.support])
+    class_of = [s.label for s in episode.support]
+    return classify(queries, build_classifier(support, class_of, omega, way=episode.way))[0]
+
+
+def _accuracy(episode: TaskEpisode, predictions: np.ndarray) -> float:
+    hits = int(np.count_nonzero(predictions == [q.ground_truth_label for q in episode.queries]))
+    return hits / len(episode.queries)
+
+
+def evaluate(episode: TaskEpisode, state: AdaptedState) -> float:
     """Accuracy of the adapted model's weighted nearest-centroid over the queries."""
-    if not episode.queries:
-        raise InvalidParameterError("episode has no query samples")
-    feats = {
-        s.sample_id: forward_features(state.adapter, s.image_feature) for s in episode.support
-    }
-    protos = build_classifier(
-        feats, episode.labels(), state.final_image_weights, way=episode.way, metric=metric
-    )
-    hits = 0
-    for q in episode.queries:
-        rep = forward_features(state.adapter, q.image_feature)
-        pred, _ = classify(rep, protos)
-        hits += int(pred == q.ground_truth_label)
-    return hits / len(episode.queries)
+    return _accuracy(episode, predict(episode, state))
 
 
-def plain_ncc_accuracy(episode: TaskEpisode, metric: str = "cosine") -> float:
+def plain_ncc_accuracy(episode: TaskEpisode) -> float:
     """Unweighted nearest-centroid accuracy on the raw features (no adaptation)."""
-    if not episode.queries:
-        raise InvalidParameterError("episode has no query samples")
-    feats = {s.sample_id: np.asarray(s.image_feature, dtype=np.float64) for s in episode.support}
-    ones = {s.sample_id: 1.0 for s in episode.support}
-    protos = build_classifier(feats, episode.labels(), ones, way=episode.way, metric=metric)
-    hits = 0
-    for q in episode.queries:
-        pred, _ = classify(q.image_feature, protos)
-        hits += int(pred == q.ground_truth_label)
-    return hits / len(episode.queries)
+    return _accuracy(episode, predict(episode))

@@ -1,7 +1,8 @@
 """Command-line interface: benchmark sweeps, single-episode adaptation, weight dumps.
 
-Exit codes: 0 on success, 2 for configuration or input errors, 3 when every
-episode of some benchmark cell diverged (or a single adaptation run did).
+Exit codes: 0 on success, 2 for configuration or input errors (including files
+that cannot be read or written), 3 when every episode of some benchmark cell
+diverged (or a single adaptation run did).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .episodes import (
     load_episode_file,
     save_episode_file,
 )
-from .errors import DetaError, DivergenceError, InvalidParameterError, ParseError, SchemaError
+from .errors import DetaError, DivergenceError
 from .harness import ABLATION_PRESETS, BenchmarkConfig, emit_report, run_benchmark
 from .losses import LossHyperparams
 
@@ -209,13 +210,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InvalidParameterError, ParseError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DetaError as exc:
+    except (DetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

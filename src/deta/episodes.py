@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, ParseError, SchemaError
+from .numerics import check_finite
 
 NOISE_CLEAN = "clean"
 NOISE_IMAGE = "image_noisy"
@@ -53,6 +54,7 @@ class SyntheticNoiseConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidParameterError(f"{name} must be in [0, 1], got {v}")
+        check_finite(class_separation=self.class_separation)
         if self.class_separation <= 0.0:
             raise InvalidParameterError("class_separation must be positive")
 
@@ -380,15 +382,14 @@ def corrupt_labels(episode: TaskEpisode, ratio: float, seed: int) -> TaskEpisode
     )
 
 
-def resample_regions(
-    episode: TaskEpisode, k: int, jitter: float, seed: int
-) -> dict[int, np.ndarray]:
-    """Draw a fresh set of k regions per support sample.
+def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> np.ndarray:
+    """Draw a fresh set of k regions per support sample, as one (n, k, d) array.
 
-    Synthetic episodes redraw from each sample's generative mixture: up to
-    the stored region count, fresh draws jitter around the stored regions at
-    the source's crop_jitter scale (so iterations see perturbed views of the
-    same crops); beyond it, whole region sets are redrawn from the class and
+    Row i holds the regions of the support sample at position i. Synthetic
+    episodes redraw from each sample's generative mixture: up to the stored
+    region count, fresh draws jitter around the stored regions at the
+    source's crop_jitter scale (so iterations see perturbed views of the same
+    crops); beyond it, whole region sets are redrawn from the class and
     distractor components. Loaded episodes subsample k of their stored
     regions uniformly without replacement and add jitter-scaled Gaussian
     perturbation. Deterministic for a fixed seed; pass a distinct seed per
@@ -400,12 +401,12 @@ def resample_regions(
         raise InvalidParameterError("jitter must be non-negative")
     rng = np.random.default_rng(seed)
     d = episode.feature_dim
-    out: dict[int, np.ndarray] = {}
+    out = np.empty((episode.n_support, k, d))
 
     if episode.source is not None:
         src = episode.source
         scale = src.crop_jitter * src.sigma
-        for s in episode.support:
+        for pos, s in enumerate(episode.support):
             anchors = s.region_features
             k_stored = anchors.shape[0]
             if k <= k_stored:
@@ -414,7 +415,7 @@ def resample_regions(
                 else:
                     idx = np.sort(rng.choice(k_stored, size=k, replace=False))
                     picked = anchors[idx]
-                regions = picked + scale * rng.standard_normal((k, d))
+                out[pos] = picked + scale * rng.standard_normal((k, d))
             else:
                 mean = src.class_means[s.ground_truth_label]
                 regions = mean + src.sigma * rng.standard_normal((k, d))
@@ -425,20 +426,19 @@ def resample_regions(
                     regions[slots] = src.distractor_mean + src.sigma * rng.standard_normal(
                         (n_dist, d)
                     )
-            out[s.sample_id] = regions
+                out[pos] = regions
         return out
 
-    for s in episode.support:
+    for pos, s in enumerate(episode.support):
         stored = s.region_features
         if stored.shape[0] < k:
             raise InvalidParameterError(
                 f"sample {s.sample_id} stores {stored.shape[0]} regions, need {k}"
             )
         idx = rng.choice(stored.shape[0], size=k, replace=False)
-        regions = stored[np.sort(idx)].astype(np.float64, copy=True)
+        out[pos] = stored[np.sort(idx)]
         if jitter > 0.0:
-            regions += jitter * rng.standard_normal((k, d))
-        out[s.sample_id] = regions
+            out[pos] += jitter * rng.standard_normal((k, d))
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adaptation import AdaptationConfig, adapt_task
+from .adaptation import AblationFlags, AdaptationConfig, adapt_task
 from .classifier import evaluate, plain_ncc_accuracy
 from .episodes import (
     NOISE_CLEAN,
@@ -28,21 +28,6 @@ from .episodes import (
 from .errors import DivergenceError, InvalidParameterError
 
 NOISE_TYPES = ("none", "label", "image")
-
-
-@dataclass(frozen=True)
-class AblationFlags:
-    """Which components of the method are active."""
-
-    cora: bool = True
-    local_loss: bool = True
-    global_loss: bool = True
-    accumulator: bool = True
-    out_of_class_term: bool = True
-
-    def mask(self) -> str:
-        bits = (self.cora, self.local_loss, self.global_loss, self.accumulator, self.out_of_class_term)
-        return "".join("1" if b else "0" for b in bits)
 
 
 ABLATION_PRESETS: dict[str, AblationFlags] = {
@@ -86,6 +71,8 @@ class BenchmarkConfig:
             raise InvalidParameterError("master_seed must be non-negative")
         if self.way < 2 or self.shot < 1 or self.k_regions < 1 or self.feature_dim < 2:
             raise InvalidParameterError("invalid episode shape")
+        # Checks the noise knobs here, before any episode of the sweep runs.
+        SyntheticNoiseConfig(distractor_mix=self.distractor_mix, class_separation=self.class_separation)
 
 
 @dataclass
@@ -179,16 +166,7 @@ def run_episode(cfg: BenchmarkConfig, ratio: float, ratio_index: int, index: int
     )
     report.baseline_accuracy = plain_ncc_accuracy(episode)
 
-    adapt_cfg = replace(
-        cfg.adaptation,
-        k_regions=cfg.k_regions,
-        seed=seed,
-        use_cora=cfg.ablation.cora,
-        use_local_loss=cfg.ablation.local_loss,
-        use_global_loss=cfg.ablation.global_loss,
-        use_accumulator=cfg.ablation.accumulator,
-        use_out_of_class=cfg.ablation.out_of_class_term,
-    )
+    adapt_cfg = replace(cfg.adaptation, k_regions=cfg.k_regions, seed=seed, ablation=cfg.ablation)
     try:
         state = adapt_task(episode, adapt_cfg)
     except DivergenceError as exc:

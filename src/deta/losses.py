@@ -15,19 +15,12 @@ finite-difference checks exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVectorError,
-    EmptyClassError,
-    InvalidParameterError,
-    MissingWeightError,
-)
-from .numerics import cosine_similarity, softmax
-from .relevance import RegionIndex
+from .errors import DegenerateVectorError, InvalidParameterError, MissingWeightError
+from .numerics import check_finite, segment_mean
 
 
 @dataclass(frozen=True)
@@ -39,6 +32,7 @@ class LossHyperparams:
     beta: float = 0.1
 
     def __post_init__(self):
+        check_finite(tau=self.tau, pi=self.pi, beta=self.beta)
         if self.tau <= 0.0 or self.pi <= 0.0:
             raise InvalidParameterError("temperatures must be positive")
         if self.beta < 0.0:
@@ -47,103 +41,64 @@ class LossHyperparams:
 
 @dataclass
 class EmbeddingBatch:
-    """Unit image and region embeddings of one episode's support set."""
+    """Unit image and region embeddings of one episode's support set.
 
-    image_embeddings: dict[int, np.ndarray]
-    region_embeddings: dict[RegionIndex, np.ndarray]
+    Image row i is the support sample at position i; region row r belongs to
+    the sample at position sample_of[r], whose class is class_of[i].
+    """
+
+    image_embeddings: np.ndarray  # (n, e)
+    region_embeddings: np.ndarray  # (r, e)
+    sample_of: np.ndarray  # (r,)
+    class_of: np.ndarray  # (n,)
     embed_dim: int = 128
 
     def validate(self, atol: float = 1e-9) -> None:
-        for name, table in (("image", self.image_embeddings), ("region", self.region_embeddings)):
-            for key, vec in table.items():
-                if vec.shape != (self.embed_dim,):
-                    raise InvalidParameterError(f"{name} embedding {key} has shape {vec.shape}")
-                if abs(float(np.linalg.norm(vec)) - 1.0) > atol:
-                    raise InvalidParameterError(f"{name} embedding {key} is not unit norm")
+        for name, mat in (("image", self.image_embeddings), ("region", self.region_embeddings)):
+            if mat.ndim != 2 or mat.shape[1] != self.embed_dim:
+                raise InvalidParameterError(f"{name} embeddings have shape {mat.shape}")
+            if np.any(np.abs(np.linalg.norm(mat, axis=1) - 1.0) > atol):
+                raise InvalidParameterError(f"{name} embeddings are not unit norm")
 
 
 @dataclass
 class LossValue:
-    """Loss components with gradients keyed like the batch's embeddings."""
+    """Loss components with gradients shaped like the batch's embeddings."""
 
     l_local: float
     l_global: float
     combined: float
-    region_grads: dict[RegionIndex, np.ndarray] = field(default_factory=dict)
-    image_grads: dict[int, np.ndarray] = field(default_factory=dict)
+    region_grads: np.ndarray  # (r, e)
+    image_grads: np.ndarray  # (n, e)
 
 
-def _region_matrix(batch: EmbeddingBatch) -> tuple[list[RegionIndex], np.ndarray]:
-    keys = sorted(batch.region_embeddings)
-    mat = np.stack([np.asarray(batch.region_embeddings[k], dtype=np.float64) for k in keys])
-    return keys, mat
-
-
-def _image_matrix(batch: EmbeddingBatch) -> tuple[list[int], np.ndarray]:
-    ids = sorted(batch.image_embeddings)
-    mat = np.stack([np.asarray(batch.image_embeddings[i], dtype=np.float64) for i in ids])
-    return ids, mat
-
-
-def _weight_vector(keys, weights: Mapping, what: str) -> np.ndarray:
-    missing = [k for k in keys if k not in weights]
-    if missing:
-        raise MissingWeightError(f"{what} missing for {missing[:3]}{'...' if len(missing) > 3 else ''}")
-    return np.array([float(weights[k]) for k in keys])
-
-
-def pairwise_local_term(
-    regions: Mapping[RegionIndex, np.ndarray],
-    weights: Mapping[RegionIndex, float],
-    i: RegionIndex,
-    j: RegionIndex,
-    tau: float,
-) -> float:
-    """Contrastive term for one ordered same-class region pair.
-
-    Negative log of the softmax mass that the weighted similarity of (i, j)
-    receives among the weighted similarities of i to every other region.
-    """
-    if tau <= 0.0:
-        raise InvalidParameterError("tau must be positive")
-    if i == j:
-        raise InvalidParameterError("pair must consist of two distinct regions")
-    if i not in regions or j not in regions:
-        raise InvalidParameterError("pair members must belong to the region set")
-    keys = sorted(regions)
-    lam = _weight_vector(keys, weights, "region weight")
-    mat = np.stack([np.asarray(regions[k], dtype=np.float64) for k in keys])
-    w = lam[:, None] * mat
-    pos_i = keys.index(i)
-    pos_j = keys.index(j)
-    logits = (w @ w[pos_i]) / tau
-    logits[pos_i] = -np.inf
-    m = np.max(logits)
-    lse = m + np.log(np.sum(np.exp(logits - m)))
-    return float(lse - logits[pos_j])
+def _per_row(values, n: int, what: str) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (n,):
+        raise MissingWeightError(f"{what} has shape {v.shape}, expected ({n},)")
+    return v
 
 
 def local_compactness_loss(
-    batch: EmbeddingBatch,
-    weights: Mapping[RegionIndex, float],
-    tau: float,
-) -> tuple[float, dict[RegionIndex, np.ndarray]]:
+    batch: EmbeddingBatch, weights, tau: float
+) -> tuple[float, np.ndarray]:
     """Weighted contrastive loss over all ordered same-class region pairs.
 
     The sum of pair terms is divided by the number of unordered same-class
     pairs; classes with fewer than two regions contribute neither pairs nor
-    normalizer mass. Returns the value and its gradient per region embedding.
+    normalizer mass. A region is never its own partner. Returns the value and
+    its gradient per region embedding row.
     """
     if tau <= 0.0:
         raise InvalidParameterError("tau must be positive")
-    keys, mat = _region_matrix(batch)
-    zero = {k: np.zeros(mat.shape[1]) for k in keys}
-    n = len(keys)
+    mat = np.asarray(batch.region_embeddings, dtype=np.float64)
+    n = len(mat)
+    lam = _per_row(weights, n, "region weights")
+    zero = np.zeros_like(mat)
     if n < 2:
         return 0.0, zero
 
-    lam = _weight_vector(keys, weights, "region weight")
-    class_ids = np.array([k.class_id for k in keys])
+    class_ids = batch.class_of[batch.sample_of]
     same = class_ids[:, None] == class_ids[None, :]
     np.fill_diagonal(same, False)
     partners = same.sum(axis=1)
@@ -165,61 +120,12 @@ def local_compactness_loss(
     prob = np.exp(masked - lse[:, None])
     g = (-same.astype(np.float64) + partners[:, None] * prob) / normalizer
     grad_w = ((g + g.T) @ w) / tau
-    grad = lam[:, None] * grad_w
-    return value, {k: grad[p] for p, k in enumerate(keys)}
-
-
-def class_prototypes(
-    image_embeddings: Mapping[int, np.ndarray],
-    omega: Mapping[int, float],
-    labels: Mapping[int, int],
-) -> dict[int, np.ndarray]:
-    """Image-weight-weighted class means of the image embeddings.
-
-    Each prototype is the sum of omega-scaled member embeddings divided by
-    the member count; no renormalization is applied.
-    """
-    ids = sorted(image_embeddings)
-    if not ids:
-        raise EmptyClassError("no image embeddings")
-    w = _weight_vector(ids, omega, "image weight")
-    missing = [i for i in ids if i not in labels]
-    if missing:
-        raise InvalidParameterError(f"labels missing for samples {missing}")
-    protos: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for pos, sid in enumerate(ids):
-        c = labels[sid]
-        vec = w[pos] * np.asarray(image_embeddings[sid], dtype=np.float64)
-        if c in protos:
-            protos[c] = protos[c] + vec
-        else:
-            protos[c] = vec
-        counts[c] = counts.get(c, 0) + 1
-    return {c: protos[c] / counts[c] for c in sorted(protos)}
-
-
-def region_class_posterior(
-    region: np.ndarray, prototypes: Mapping[int, np.ndarray], pi: float
-) -> np.ndarray:
-    """Softmax over cosine similarities to the class prototypes, sharpened by pi.
-
-    Entries follow ascending class id.
-    """
-    classes = sorted(prototypes)
-    if not classes:
-        raise EmptyClassError("no prototypes")
-    sims = np.array([cosine_similarity(region, prototypes[c]) for c in classes])
-    return softmax(sims, temperature=pi)
+    return value, lam[:, None] * grad_w
 
 
 def global_dispersion_loss(
-    batch: EmbeddingBatch,
-    weights: Mapping[RegionIndex, float],
-    omega: Mapping[int, float],
-    labels: Mapping[int, int],
-    pi: float,
-) -> tuple[float, dict[RegionIndex, np.ndarray], dict[int, np.ndarray]]:
+    batch: EmbeddingBatch, weights, omega, pi: float
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted cross-entropy of region posteriors against class prototypes.
 
     Every region is scored against the prototypes of all classes by cosine
@@ -230,24 +136,16 @@ def global_dispersion_loss(
     """
     if pi <= 0.0:
         raise InvalidParameterError("pi must be positive")
-    rkeys, r = _region_matrix(batch)
-    ids, e = _image_matrix(batch)
-    lam = _weight_vector(rkeys, weights, "region weight")
-    w_img = _weight_vector(ids, omega, "image weight")
-    missing = [i for i in ids if i not in labels]
-    if missing:
-        raise InvalidParameterError(f"labels missing for samples {missing}")
+    r = np.asarray(batch.region_embeddings, dtype=np.float64)
+    e = np.asarray(batch.image_embeddings, dtype=np.float64)
+    n_regions = len(r)
+    lam = _per_row(weights, n_regions, "region weights")
+    w_img = _per_row(omega, len(e), "image weights")
+    if len(batch.class_of) != len(e) or np.any((batch.sample_of < 0) | (batch.sample_of >= len(e))):
+        raise InvalidParameterError("region rows or classes do not match the image rows")
 
-    classes = sorted({labels[i] for i in ids})
-    class_pos = {c: m for m, c in enumerate(classes)}
-    for key in rkeys:
-        if key.class_id not in class_pos:
-            raise EmptyClassError(f"region {key} labeled with class {key.class_id} that has no images")
-
-    y = np.array([labels[i] for i in ids])
-    counts = np.array([(y == c).sum() for c in classes], dtype=np.float64)
-    member = np.stack([(y == c).astype(np.float64) for c in classes])  # (C, n_img)
-    protos = (member * w_img[None, :]) @ e / counts[:, None]  # (C, dim)
+    classes, img_col = np.unique(batch.class_of, return_inverse=True)
+    protos, counts = segment_mean(e, img_col, len(classes), weights=w_img)  # (C, dim)
 
     p_norm = np.linalg.norm(protos, axis=1)
     if np.any(p_norm == 0.0):
@@ -263,8 +161,7 @@ def global_dispersion_loss(
     lse = row_max + np.log(np.exp(logits - row_max[:, None]).sum(axis=1))
     q = np.exp(logits - lse[:, None])
 
-    ycol = np.array([class_pos[k.class_id] for k in rkeys])
-    n_regions = len(rkeys)
+    ycol = img_col[batch.sample_of]
     picked = logits[np.arange(n_regions), ycol]
     value = float(np.sum(lam * (lse - picked)) / n_regions)
 
@@ -281,48 +178,36 @@ def global_dispersion_loss(
     tcol = (d * cosines).sum(axis=0)
     grad_p = (d.T @ r_unit) / p_norm[:, None] - (tcol / p_norm**2)[:, None] * protos
 
-    scale = w_img / counts[np.searchsorted(classes, y)]
-    grad_e = scale[:, None] * grad_p[[class_pos[c] for c in y]]
-
-    return (
-        value,
-        {k: grad_r[p] for p, k in enumerate(rkeys)},
-        {sid: grad_e[p] for p, sid in enumerate(ids)},
-    )
+    scale = w_img / counts[img_col]
+    return value, grad_r, scale[:, None] * grad_p[img_col]
 
 
 def combined_loss(
     batch: EmbeddingBatch,
-    weights: Mapping[RegionIndex, float],
-    omega: Mapping[int, float],
-    labels: Mapping[int, int],
+    weights,
+    omega,
     hp: LossHyperparams,
     include_local: bool = True,
     include_global: bool = True,
 ) -> LossValue:
-    """beta-weighted sum of the two losses with merged gradients.
+    """beta-weighted sum of the two losses with summed gradients.
 
     The include flags exist for ablations; a disabled component contributes
     exactly zero to the value and the gradients.
     """
-    rkeys = sorted(batch.region_embeddings)
-    dim = batch.embed_dim
-    region_grads = {k: np.zeros(dim) for k in rkeys}
-    image_grads = {i: np.zeros(dim) for i in sorted(batch.image_embeddings)}
+    region_grads = np.zeros_like(batch.region_embeddings, dtype=np.float64)
+    image_grads = np.zeros_like(batch.image_embeddings, dtype=np.float64)
 
     l_local = 0.0
     if include_local:
         l_local, local_grads = local_compactness_loss(batch, weights, hp.tau)
-        for k, gvec in local_grads.items():
-            region_grads[k] = region_grads[k] + hp.beta * gvec
+        region_grads += hp.beta * local_grads
 
     l_global = 0.0
     if include_global:
-        l_global, reg_g, img_g = global_dispersion_loss(batch, weights, omega, labels, hp.pi)
-        for k, gvec in reg_g.items():
-            region_grads[k] = region_grads[k] + gvec
-        for i, gvec in img_g.items():
-            image_grads[i] = image_grads[i] + gvec
+        l_global, reg_g, img_g = global_dispersion_loss(batch, weights, omega, hp.pi)
+        region_grads += reg_g
+        image_grads += img_g
 
     return LossValue(
         l_local=l_local,

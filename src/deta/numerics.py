@@ -7,12 +7,20 @@ here, so the helpers are deliberately strict about degenerate inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateVectorError, InvalidParameterError, OracleFailure
+from .errors import DegenerateVectorError, EmptyClassError, InvalidParameterError, OracleFailure
+
+
+def check_finite(**knobs: float) -> None:
+    """Reject non-finite configuration values, naming the offending knob."""
+    for name, value in knobs.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -46,15 +54,6 @@ def l2_normalize(v) -> np.ndarray:
     return vec / n
 
 
-def log_sum_exp(scores: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Stable log(sum(exp(scores))) along an axis."""
-    m = np.max(scores, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(scores - m), axis=axis, keepdims=True))
-    if axis is None:
-        return out.reshape(())
-    return np.squeeze(out, axis=axis)
-
-
 def softmax(scores, temperature: float = 1.0) -> np.ndarray:
     """Stable softmax of scores/temperature.
 
@@ -70,6 +69,22 @@ def softmax(scores, temperature: float = 1.0) -> np.ndarray:
     z = z - np.max(z)
     e = np.exp(z)
     return e / e.sum()
+
+
+def segment_mean(rows, segment_of, n_segments: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment, the sum of its (optionally weight-scaled) rows over its row count.
+
+    Row i belongs to segment segment_of[i] in [0, n_segments). Returns the
+    (n_segments, d) means and the member counts. No renormalization is
+    applied, so weights scale the means. Every segment needs a member.
+    """
+    member = (np.arange(n_segments)[:, None] == np.asarray(segment_of)[None, :]).astype(np.float64)
+    counts = member.sum(axis=1)
+    if np.any(counts == 0):
+        raise EmptyClassError(f"segments without members: {np.flatnonzero(counts == 0).tolist()}")
+    if weights is not None:
+        member = member * np.asarray(weights, dtype=np.float64)[None, :]
+    return member @ np.asarray(rows, dtype=np.float64) / counts[:, None], counts
 
 
 @dataclass(frozen=True)

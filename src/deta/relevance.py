@@ -6,6 +6,10 @@ families are softmax-normalized inside each class and their ratio is the
 region weight. A per-image momentum accumulator smooths the mean region
 weight of each sample across adaptation iterations. The whole computation is
 parameter-free.
+
+Regions are rows of one array. sample_of[r] is the support position of the
+sample that region row r belongs to, and class_of[i] the class of the sample
+at support position i, so the class of a region row is class_of[sample_of[r]].
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from .errors import (
     InvalidParameterError,
     MissingWeightError,
 )
-from .numerics import cosine_similarity, softmax
+from .numerics import softmax
 
 
 @dataclass(frozen=True, order=True)
 class RegionIndex:
-    """Identity of one region: which sample it belongs to, which slot, which class."""
+    """Names one region: which sample it belongs to, which slot, which class."""
 
     sample_id: int
     region_slot: int
@@ -35,162 +39,103 @@ class RegionIndex:
 class RegionWeightTable:
     """Per-region weights with their class-normalized relevance scores.
 
-    weights holds lambda = phi_norm / psi_norm per region; phi_norm and
+    weights holds lambda = phi_norm / psi_norm per region row; phi_norm and
     psi_norm each sum to one within every class.
     """
 
-    weights: dict[RegionIndex, float]
-    per_class_phi: dict[RegionIndex, float]
-    per_class_psi: dict[RegionIndex, float]
+    weights: np.ndarray  # (r,)
+    per_class_phi: np.ndarray  # (r,)
+    per_class_psi: np.ndarray  # (r,)
+    sample_of: np.ndarray  # (r,) support position of each region row
+    class_of: np.ndarray  # (n,) class of each support sample
 
-    def sample_means(self) -> dict[int, float]:
-        """Mean region weight per sample (the instantaneous image weight)."""
-        sums: dict[int, float] = {}
-        counts: dict[int, int] = {}
-        for idx, lam in self.weights.items():
-            sums[idx.sample_id] = sums.get(idx.sample_id, 0.0) + lam
-            counts[idx.sample_id] = counts.get(idx.sample_id, 0) + 1
-        return {sid: sums[sid] / counts[sid] for sid in sums}
+    def sample_means(self) -> np.ndarray:
+        """Mean region weight per support sample (the instantaneous image weight)."""
+        n = len(self.class_of)
+        sums = np.bincount(self.sample_of, weights=self.weights, minlength=n)
+        return sums / np.bincount(self.sample_of, minlength=n)
 
     def validate(self, atol: float = 1e-9) -> None:
-        by_class: dict[int, list[RegionIndex]] = {}
-        for idx in self.weights:
-            by_class.setdefault(idx.class_id, []).append(idx)
-        for cid, members in by_class.items():
-            phi_sum = sum(self.per_class_phi[i] for i in members)
-            psi_sum = sum(self.per_class_psi[i] for i in members)
-            if abs(phi_sum - 1.0) > atol or abs(psi_sum - 1.0) > atol:
-                raise InvalidParameterError(
-                    f"class {cid}: normalized scores sum to {phi_sum}, {psi_sum}"
-                )
-        for idx, lam in self.weights.items():
-            if lam <= 0.0 or not np.isfinite(lam):
-                raise InvalidParameterError(f"non-positive weight for {idx}")
-            ratio = self.per_class_phi[idx] / self.per_class_psi[idx]
-            if abs(lam - ratio) > atol * max(1.0, abs(ratio)):
-                raise InvalidParameterError(f"weight for {idx} is not phi/psi")
+        region_class = self.class_of[self.sample_of]
+        classes = np.unique(region_class)
+        phi_sums = np.bincount(region_class, weights=self.per_class_phi)[classes]
+        psi_sums = np.bincount(region_class, weights=self.per_class_psi)[classes]
+        if np.any(np.abs(phi_sums - 1.0) > atol) or np.any(np.abs(psi_sums - 1.0) > atol):
+            raise InvalidParameterError(f"normalized scores per class sum to {phi_sums}, {psi_sums}")
+        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
+            raise InvalidParameterError("non-positive or non-finite region weight")
+        ratio = self.per_class_phi / self.per_class_psi
+        if np.any(np.abs(self.weights - ratio) > atol * np.maximum(1.0, np.abs(ratio))):
+            raise InvalidParameterError("weights are not phi/psi")
 
 
-def build_region_sets(
-    regions: dict[RegionIndex, np.ndarray],
-) -> dict[RegionIndex, tuple[list[RegionIndex], list[RegionIndex]]]:
-    """In-class and out-of-class comparison sets for every region.
+def mean_relevance(features, sample_of, class_of) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cosine similarity of every region to its in-class and out-of-class pools.
 
-    The in-class set contains same-class regions of *other* samples (a
-    sample's own regions are excluded so they cannot dominate the average).
-    The out-of-class set contains every region of every other class.
+    The in-class pool of a region holds the same-class regions of *other*
+    samples (a sample's own regions cannot dominate the average); it scores
+    zero when empty. The out-of-class pool holds every region of every other
+    class, so at least two classes are required.
     """
-    keys = sorted(regions)
-    sets: dict[RegionIndex, tuple[list[RegionIndex], list[RegionIndex]]] = {}
-    for idx in keys:
-        in_set = [
-            other
-            for other in keys
-            if other.class_id == idx.class_id and other.sample_id != idx.sample_id
-        ]
-        out_set = [other for other in keys if other.class_id != idx.class_id]
-        sets[idx] = (in_set, out_set)
-    return sets
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] == 0:
+        raise InvalidParameterError("no regions given")
+    if not np.all(np.isfinite(feats)):
+        raise InvalidParameterError("region features contain non-finite values")
+    norms = np.linalg.norm(feats, axis=1)
+    if np.any(norms == 0.0):
+        raise DegenerateVectorError(f"zero-norm region feature at row {int(np.argmin(norms))}")
+    sample_ids = np.asarray(sample_of)
+    class_ids = np.asarray(class_of)[sample_ids]
+    if np.unique(class_ids).size < 2:
+        raise InvalidParameterError("relevance weighting requires at least 2 classes")
 
+    unit = feats / norms[:, None]
+    cos = np.clip(unit @ unit.T, -1.0, 1.0)
+    same_class = class_ids[:, None] == class_ids[None, :]
+    same_sample = sample_ids[:, None] == sample_ids[None, :]
+    class_row_sum = np.where(same_class, cos, 0.0).sum(axis=1)
+    sample_row_sum = np.where(same_sample, cos, 0.0).sum(axis=1)
+    n_class = same_class.sum(axis=1)
 
-def relevance_scores(region: np.ndarray, in_set, out_set) -> tuple[float, float]:
-    """Mean cosine similarity of a region to its in-class and out-of-class pools.
-
-    An empty in-class pool (single-sample class) scores zero; an empty
-    out-of-class pool is rejected because the contrast is undefined.
-    """
-    if len(out_set) == 0:
-        raise InvalidParameterError("out-of-class set is empty; need at least 2 classes")
-    phi = (
-        float(np.mean([cosine_similarity(region, other) for other in in_set]))
-        if len(in_set) > 0
-        else 0.0
-    )
-    psi = float(np.mean([cosine_similarity(region, other) for other in out_set]))
+    in_count = n_class - same_sample.sum(axis=1)
+    phi = np.where(in_count > 0, (class_row_sum - sample_row_sum) / np.maximum(in_count, 1), 0.0)
+    psi = (cos.sum(axis=1) - class_row_sum) / (len(feats) - n_class)
     return phi, psi
 
 
-def region_weights(
-    regions: dict[RegionIndex, np.ndarray],
-    use_out_of_class: bool = True,
-) -> RegionWeightTable:
-    """Compute contrastive relevance weights for every region.
+def region_weights(features, sample_of, class_of, use_out_of_class: bool = True) -> RegionWeightTable:
+    """Compute contrastive relevance weights for every region row.
 
     With use_out_of_class=False the out-of-class statistics are skipped and
     the per-class normalization of the out scores is replaced by the uniform
     distribution, so weights reduce to the normalized in-class relevance
     rescaled to mean one per class.
     """
-    if not regions:
-        raise InvalidParameterError("no regions given")
-    keys = sorted(regions)
-    feats = np.stack([np.asarray(regions[k], dtype=np.float64) for k in keys])
-    if not np.all(np.isfinite(feats)):
-        raise InvalidParameterError("region features contain non-finite values")
-    norms = np.linalg.norm(feats, axis=1)
-    if np.any(norms == 0.0):
-        bad = keys[int(np.argmin(norms))]
-        raise DegenerateVectorError(f"zero-norm region feature at {bad}")
-
-    class_ids = np.array([k.class_id for k in keys])
-    sample_ids = np.array([k.sample_id for k in keys])
-    classes = np.unique(class_ids)
-    if classes.size < 2:
-        raise InvalidParameterError("relevance weighting requires at least 2 classes")
-
-    unit = feats / norms[:, None]
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    n = len(keys)
-
-    same_class = class_ids[:, None] == class_ids[None, :]
-    same_sample = sample_ids[:, None] == sample_ids[None, :]
-    class_row_sum = np.where(same_class, cos, 0.0).sum(axis=1)
-    sample_row_sum = np.where(same_sample, cos, 0.0).sum(axis=1)
-    n_class = same_class.sum(axis=1)
-    n_sample = same_sample.sum(axis=1)
-
-    in_count = n_class - n_sample
-    phi = np.where(in_count > 0, (class_row_sum - sample_row_sum) / np.maximum(in_count, 1), 0.0)
-    out_count = n - n_class
-    psi = (cos.sum(axis=1) - class_row_sum) / out_count
-
-    weights: dict[RegionIndex, float] = {}
-    phi_norm: dict[RegionIndex, float] = {}
-    psi_norm: dict[RegionIndex, float] = {}
-    for cid in classes:
+    phi, psi = mean_relevance(features, sample_of, class_of)
+    class_ids = np.asarray(class_of)[sample_of]
+    phi_norm = np.empty_like(phi)
+    psi_norm = np.empty_like(psi)
+    for cid in np.unique(class_ids):
         member_pos = np.flatnonzero(class_ids == cid)
-        phi_soft = softmax(phi[member_pos])
+        phi_norm[member_pos] = softmax(phi[member_pos])
         if use_out_of_class:
-            psi_soft = softmax(psi[member_pos])
+            psi_norm[member_pos] = softmax(psi[member_pos])
         else:
-            psi_soft = np.full(member_pos.size, 1.0 / member_pos.size)
-        lam = phi_soft / psi_soft
-        for pos, p, q, w in zip(member_pos, phi_soft, psi_soft, lam):
-            key = keys[int(pos)]
-            weights[key] = float(w)
-            phi_norm[key] = float(p)
-            psi_norm[key] = float(q)
-
-    return RegionWeightTable(weights=weights, per_class_phi=phi_norm, per_class_psi=psi_norm)
+            psi_norm[member_pos] = 1.0 / member_pos.size
+    return RegionWeightTable(phi_norm / psi_norm, phi_norm, psi_norm, sample_of, class_of)
 
 
-def uniform_weight_table(regions: dict[RegionIndex, np.ndarray]) -> RegionWeightTable:
+def uniform_weight_table(sample_of, class_of) -> RegionWeightTable:
     """All-ones weight table (relevance weighting disabled)."""
-    keys = sorted(regions)
-    by_class: dict[int, int] = {}
-    for idx in keys:
-        by_class[idx.class_id] = by_class.get(idx.class_id, 0) + 1
-    uniform = {idx: 1.0 / by_class[idx.class_id] for idx in keys}
-    return RegionWeightTable(
-        weights={idx: 1.0 for idx in keys},
-        per_class_phi=uniform,
-        per_class_psi=dict(uniform),
-    )
+    class_ids = np.asarray(class_of)[sample_of]
+    uniform = 1.0 / np.bincount(class_ids)[class_ids]
+    return RegionWeightTable(np.ones(len(class_ids)), uniform, uniform.copy(), sample_of, class_of)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageWeightAccumulator:
-    """Momentum-smoothed per-sample image weights.
+    """Momentum-smoothed per-sample image weights, one entry per support position.
 
     The first update seeds each sample's weight with the mean of its region
     weights; later updates blend the previous value with the new mean using
@@ -198,7 +143,7 @@ class ImageWeightAccumulator:
     """
 
     momentum: float = 0.7
-    omega: dict[int, float] = field(default_factory=dict)
+    omega: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iteration: int = 0
 
     def __post_init__(self):
@@ -214,14 +159,12 @@ def accumulate_image_weights(
     """Fold one iteration's region weights into the image-weight accumulator."""
     means = table.sample_means()
     if acc.iteration == 0:
-        omega = dict(sorted(means.items()))
+        omega = means
+    elif means.shape != acc.omega.shape:
+        raise MissingWeightError(
+            f"weight table covers {means.size} samples, accumulator holds {acc.omega.size}"
+        )
     else:
-        missing = sorted(set(acc.omega) - set(means))
-        if missing:
-            raise MissingWeightError(f"weight table misses samples {missing}")
-        extra = sorted(set(means) - set(acc.omega))
-        if extra:
-            raise MissingWeightError(f"weight table covers unknown samples {extra}")
         g = acc.momentum
-        omega = {sid: g * acc.omega[sid] + (1.0 - g) * means[sid] for sid in sorted(acc.omega)}
+        omega = g * acc.omega + (1.0 - g) * means
     return ImageWeightAccumulator(momentum=acc.momentum, omega=omega, iteration=acc.iteration + 1)

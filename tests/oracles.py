@@ -3,6 +3,9 @@
 Everything here is written with literal loops and plain python math on
 purpose, so it stays structurally independent of the vectorized production
 code it checks. Keep it slow and obvious.
+
+Inputs use the production array layout: region row r belongs to the support
+sample at position sample_of[r], whose class is class_of[sample_of[r]].
 """
 
 from __future__ import annotations
@@ -28,30 +31,41 @@ def _cos(a, b) -> float:
     return _dot(a, b) / (_norm(a) * _norm(b))
 
 
-def brute_region_weights(regions: dict[RegionIndex, np.ndarray]) -> dict[str, dict]:
-    """Literal-loop evaluation of the contrastive relevance weights."""
-    keys = sorted(regions)
-    phi: dict[RegionIndex, float] = {}
-    psi: dict[RegionIndex, float] = {}
-    for key in keys:
-        in_set = [
-            other
-            for other in keys
-            if other.class_id == key.class_id and other.sample_id != key.sample_id
-        ]
-        out_set = [other for other in keys if other.class_id != key.class_id]
-        if in_set:
-            phi[key] = sum(_cos(regions[key], regions[o]) for o in in_set) / len(in_set)
-        else:
-            phi[key] = 0.0
-        psi[key] = sum(_cos(regions[key], regions[o]) for o in out_set) / len(out_set)
+def region_rows(regions: dict[RegionIndex, np.ndarray]):
+    """Regions named by RegionIndex as (keys, features, sample_of, class_of).
 
-    phi_t: dict[RegionIndex, float] = {}
-    psi_t: dict[RegionIndex, float] = {}
-    lam: dict[RegionIndex, float] = {}
-    classes = sorted({k.class_id for k in keys})
-    for cid in classes:
-        members = [k for k in keys if k.class_id == cid]
+    Rows follow sorted key order and support positions ascending sample id.
+    """
+    keys = sorted(regions)
+    ids = sorted({k.sample_id for k in keys})
+    position = {sid: p for p, sid in enumerate(ids)}
+    class_of = np.zeros(len(ids), dtype=int)
+    for k in keys:
+        class_of[position[k.sample_id]] = k.class_id
+    sample_of = np.array([position[k.sample_id] for k in keys])
+    return keys, np.stack([regions[k] for k in keys]), sample_of, class_of
+
+
+def brute_region_weights(features, sample_of, class_of) -> dict[str, list[float]]:
+    """Literal-loop evaluation of the contrastive relevance weights, per region row."""
+    rows = range(len(features))
+    cls = [int(class_of[sample_of[r]]) for r in rows]
+    phi: list[float] = []
+    psi: list[float] = []
+    for r in rows:
+        in_set = [o for o in rows if cls[o] == cls[r] and sample_of[o] != sample_of[r]]
+        out_set = [o for o in rows if cls[o] != cls[r]]
+        if in_set:
+            phi.append(sum(_cos(features[r], features[o]) for o in in_set) / len(in_set))
+        else:
+            phi.append(0.0)
+        psi.append(sum(_cos(features[r], features[o]) for o in out_set) / len(out_set))
+
+    phi_t = [0.0] * len(phi)
+    psi_t = [0.0] * len(psi)
+    lam = [0.0] * len(phi)
+    for cid in sorted(set(cls)):
+        members = [r for r in rows if cls[r] == cid]
         phi_den = sum(math.exp(phi[m]) for m in members)
         psi_den = sum(math.exp(psi[m]) for m in members)
         for m in members:
@@ -61,28 +75,24 @@ def brute_region_weights(regions: dict[RegionIndex, np.ndarray]) -> dict[str, di
     return {"phi": phi, "psi": psi, "phi_norm": phi_t, "psi_norm": psi_t, "lam": lam}
 
 
-def brute_local_loss(
-    regions: dict[RegionIndex, np.ndarray],
-    weights: dict[RegionIndex, float],
-    tau: float,
-) -> float:
+def brute_local_loss(regions, weights, region_class, tau: float) -> float:
     """Literal double loop over ordered same-class pairs with explicit denominators."""
-    keys = sorted(regions)
+    rows = range(len(regions))
     class_sizes: dict[int, int] = {}
-    for key in keys:
-        class_sizes[key.class_id] = class_sizes.get(key.class_id, 0) + 1
+    for r in rows:
+        class_sizes[int(region_class[r])] = class_sizes.get(int(region_class[r]), 0) + 1
     normalizer = sum(n * (n - 1) / 2.0 for n in class_sizes.values())
     if normalizer == 0:
         return 0.0
 
     total = 0.0
-    for i in keys:
-        for j in keys:
-            if i == j or i.class_id != j.class_id:
+    for i in rows:
+        for j in rows:
+            if i == j or region_class[i] != region_class[j]:
                 continue
             num = math.exp(weights[i] * weights[j] * _dot(regions[i], regions[j]) / tau)
             den = 0.0
-            for v in keys:
+            for v in rows:
                 if v == i:
                     continue
                 den += math.exp(weights[i] * weights[v] * _dot(regions[i], regions[v]) / tau)
@@ -90,34 +100,27 @@ def brute_local_loss(
     return total / normalizer
 
 
-def brute_global_loss(
-    regions: dict[RegionIndex, np.ndarray],
-    weights: dict[RegionIndex, float],
-    images: dict[int, np.ndarray],
-    omega: dict[int, float],
-    labels: dict[int, int],
-    pi: float,
-) -> float:
+def brute_global_loss(regions, weights, images, omega, sample_of, class_of, pi: float) -> float:
     """Literal evaluation of the prototype cross-entropy over all regions."""
-    classes = sorted({labels[i] for i in images})
+    classes = sorted({int(c) for c in class_of})
+    dim = len(images[0])
     protos: dict[int, list[float]] = {}
     for c in classes:
-        members = [i for i in sorted(images) if labels[i] == c]
-        dim = len(next(iter(images.values())))
+        members = [i for i in range(len(images)) if class_of[i] == c]
         acc = [0.0] * dim
         for i in members:
             for p in range(dim):
                 acc[p] += omega[i] * float(images[i][p])
         protos[c] = [v / len(members) for v in acc]
 
-    keys = sorted(regions)
     total = 0.0
-    for key in keys:
-        sims = {c: _cos(regions[key], protos[c]) for c in classes}
+    for r in range(len(regions)):
+        own = int(class_of[sample_of[r]])
+        sims = {c: _cos(regions[r], protos[c]) for c in classes}
         den = sum(math.exp(sims[c] / pi) for c in classes)
-        p_own = math.exp(sims[key.class_id] / pi) / den
-        total += -weights[key] * math.log(p_own)
-    return total / len(keys)
+        p_own = math.exp(sims[own] / pi) / den
+        total += -weights[r] * math.log(p_own)
+    return total / len(regions)
 
 
 def fd_matches(f, params, analytic, cfg: GradCheckConfig = GradCheckConfig()) -> tuple[bool, float]:
@@ -140,53 +143,48 @@ def make_instance(
     samples_per_class: int = 2,
     k: int = 2,
     dim: int = 6,
-) -> tuple[EmbeddingBatch, dict[RegionIndex, float], dict[int, float], dict[int, int]]:
-    """Random unit-embedding instance with positive weights, for loss tests."""
-    images: dict[int, np.ndarray] = {}
-    regions: dict[RegionIndex, np.ndarray] = {}
-    weights: dict[RegionIndex, float] = {}
-    omega: dict[int, float] = {}
-    labels: dict[int, int] = {}
-    sid = 0
-    for c in range(n_classes):
-        for _ in range(samples_per_class):
-            v = rng.standard_normal(dim)
-            images[sid] = v / np.linalg.norm(v)
-            omega[sid] = float(rng.uniform(0.3, 1.8))
-            labels[sid] = c
-            for slot in range(k):
-                r = rng.standard_normal(dim)
-                key = RegionIndex(sample_id=sid, region_slot=slot, class_id=c)
-                regions[key] = r / np.linalg.norm(r)
-                weights[key] = float(rng.uniform(0.4, 2.0))
-            sid += 1
-    batch = EmbeddingBatch(image_embeddings=images, region_embeddings=regions, embed_dim=dim)
-    return batch, weights, omega, labels
+) -> tuple[EmbeddingBatch, np.ndarray, np.ndarray]:
+    """Random unit-embedding instance with positive weights, for loss tests.
+
+    Returns the batch, one region weight per region row and one image weight
+    per sample.
+    """
+    images, omega, regions, weights = [], [], [], []
+    for _ in range(n_classes * samples_per_class):
+        v = rng.standard_normal(dim)
+        images.append(v / np.linalg.norm(v))
+        omega.append(float(rng.uniform(0.3, 1.8)))
+        for _ in range(k):
+            r = rng.standard_normal(dim)
+            regions.append(r / np.linalg.norm(r))
+            weights.append(float(rng.uniform(0.4, 2.0)))
+    n = len(images)
+    batch = EmbeddingBatch(
+        image_embeddings=np.stack(images),
+        region_embeddings=np.stack(regions),
+        sample_of=np.repeat(np.arange(n), k),
+        class_of=np.repeat(np.arange(n_classes), samples_per_class),
+        embed_dim=dim,
+    )
+    return batch, np.array(weights), np.array(omega)
 
 
 def flatten_embeddings(batch: EmbeddingBatch) -> np.ndarray:
-    """Concatenate region then image embeddings in canonical key order."""
-    parts = [batch.region_embeddings[k] for k in sorted(batch.region_embeddings)]
-    parts += [batch.image_embeddings[i] for i in sorted(batch.image_embeddings)]
-    return np.concatenate(parts)
+    """Concatenate region then image embeddings, row by row."""
+    return np.concatenate([batch.region_embeddings.ravel(), batch.image_embeddings.ravel()])
 
 
 def rebuild_batch(template: EmbeddingBatch, vec: np.ndarray) -> EmbeddingBatch:
-    """Inverse of flatten_embeddings against a template's keys and dimension."""
-    dim = template.embed_dim
-    regions = {}
-    pos = 0
-    for key in sorted(template.region_embeddings):
-        regions[key] = vec[pos : pos + dim]
-        pos += dim
-    images = {}
-    for sid in sorted(template.image_embeddings):
-        images[sid] = vec[pos : pos + dim]
-        pos += dim
-    return EmbeddingBatch(image_embeddings=images, region_embeddings=regions, embed_dim=dim)
+    """Inverse of flatten_embeddings against a template's layout."""
+    split = template.region_embeddings.size
+    return EmbeddingBatch(
+        image_embeddings=vec[split:].reshape(template.image_embeddings.shape),
+        region_embeddings=vec[:split].reshape(template.region_embeddings.shape),
+        sample_of=template.sample_of,
+        class_of=template.class_of,
+        embed_dim=template.embed_dim,
+    )
 
 
-def flatten_grads(batch: EmbeddingBatch, region_grads: dict, image_grads: dict) -> np.ndarray:
-    parts = [region_grads[k] for k in sorted(batch.region_embeddings)]
-    parts += [image_grads[i] for i in sorted(batch.image_embeddings)]
-    return np.concatenate(parts)
+def flatten_grads(region_grads: np.ndarray, image_grads: np.ndarray) -> np.ndarray:
+    return np.concatenate([region_grads.ravel(), image_grads.ravel()])

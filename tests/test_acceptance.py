@@ -50,6 +50,7 @@ from oracles import (
     flatten_grads,
     make_instance,
     rebuild_batch,
+    region_rows,
 )
 
 GRAD_CFG = GradCheckConfig(step=1e-5, rel_tol=1e-4, abs_tol=1e-7)
@@ -118,11 +119,11 @@ def _random_pipeline(rng):
     embed = int(rng.integers(3, 7))
     n = way * shot
     x = rng.standard_normal((n, d))
-    labels = {i: i // shot for i in range(n)}
-    keys = [RegionIndex(i, slot, labels[i]) for i in range(n) for slot in range(k)]
+    labels = np.arange(n) // shot
+    keys = np.repeat(np.arange(n), k)  # sample position of each region row
     r = rng.standard_normal((n * k, d))
-    lam = {key: float(rng.uniform(0.4, 2.0)) for key in keys}
-    omega = {i: float(rng.uniform(0.3, 1.8)) for i in range(n)}
+    lam = np.array([rng.uniform(0.4, 2.0) for _ in keys])
+    omega = np.array([rng.uniform(0.3, 1.8) for _ in range(n)])
     adapter = AdapterParams(w=0.1 * rng.standard_normal((d, d)), b=0.1 * rng.standard_normal(d))
     head = init_head(d, hidden, embed, rng)
     return x, r, keys, labels, lam, omega, adapter, head, (d, hidden, embed)
@@ -131,12 +132,8 @@ def _random_pipeline(rng):
 def _pipeline_loss(x, r, keys, labels, lam, omega, adapter, head, embed):
     e_img, img_cache = head_forward(head, forward_features(adapter, x))
     e_reg, reg_cache = head_forward(head, forward_features(adapter, r))
-    batch = EmbeddingBatch(
-        image_embeddings={i: e_img[i] for i in range(x.shape[0])},
-        region_embeddings={key: e_reg[p] for p, key in enumerate(keys)},
-        embed_dim=embed,
-    )
-    loss = combined_loss(batch, lam, omega, labels, HP)
+    batch = EmbeddingBatch(e_img, e_reg, sample_of=keys, class_of=labels, embed_dim=embed)
+    loss = combined_loss(batch, lam, omega, HP)
     return loss, batch, img_cache, reg_cache
 
 
@@ -144,10 +141,8 @@ def _pipeline_param_grads(x, r, keys, labels, lam, omega, adapter, head, embed):
     loss, batch, img_cache, reg_cache = _pipeline_loss(
         x, r, keys, labels, lam, omega, adapter, head, embed
     )
-    d_img = np.stack([loss.image_grads[i] for i in range(x.shape[0])])
-    d_reg = np.stack([loss.region_grads[key] for key in keys])
-    head_g_img, da_img = head_backward(head, img_cache, d_img)
-    head_g_reg, da_reg = head_backward(head, reg_cache, d_reg)
+    head_g_img, da_img = head_backward(head, img_cache, loss.image_grads)
+    head_g_reg, da_reg = head_backward(head, reg_cache, loss.region_grads)
     dw_img, db_img = adapter_backward(x, da_img)
     dw_reg, db_reg = adapter_backward(r, da_reg)
     return loss.combined, {
@@ -167,25 +162,24 @@ def test_criterion_1_gradient_suite():
         instances = 0
 
         for trial in range(12):
-            batch, weights, omega, labels = make_instance(
+            batch, weights, omega = make_instance(
                 rng,
                 n_classes=int(rng.integers(2, 4)),
                 samples_per_class=int(rng.integers(2, 4)),
                 k=int(rng.integers(1, 3)),
                 dim=int(rng.integers(4, 9)),
             )
-            dim = batch.embed_dim
-            zeros_img = {i: np.zeros(dim) for i in batch.image_embeddings}
+            zeros_img = np.zeros_like(batch.image_embeddings)
 
             def f_local(vec, batch=batch, weights=weights):
                 return local_compactness_loss(rebuild_batch(batch, vec), weights, HP.tau)[0]
 
             _, grads = local_compactness_loss(batch, weights, HP.tau)
-            _fd_ok(f_local, flatten_embeddings(batch), flatten_grads(batch, grads, zeros_img))
+            _fd_ok(f_local, flatten_embeddings(batch), flatten_grads(grads, zeros_img))
             instances += 1
 
         for trial in range(12):
-            batch, weights, omega, labels = make_instance(
+            batch, weights, omega = make_instance(
                 rng,
                 n_classes=int(rng.integers(2, 4)),
                 samples_per_class=int(rng.integers(2, 4)),
@@ -193,17 +187,15 @@ def test_criterion_1_gradient_suite():
                 dim=int(rng.integers(4, 9)),
             )
 
-            def f_global(vec, batch=batch, weights=weights, omega=omega, labels=labels):
-                return global_dispersion_loss(
-                    rebuild_batch(batch, vec), weights, omega, labels, HP.pi
-                )[0]
+            def f_global(vec, batch=batch, weights=weights, omega=omega):
+                return global_dispersion_loss(rebuild_batch(batch, vec), weights, omega, HP.pi)[0]
 
-            _, reg_g, img_g = global_dispersion_loss(batch, weights, omega, labels, HP.pi)
-            _fd_ok(f_global, flatten_embeddings(batch), flatten_grads(batch, reg_g, img_g))
+            _, reg_g, img_g = global_dispersion_loss(batch, weights, omega, HP.pi)
+            _fd_ok(f_global, flatten_embeddings(batch), flatten_grads(reg_g, img_g))
             instances += 1
 
         for trial in range(12):
-            batch, weights, omega, labels = make_instance(
+            batch, weights, omega = make_instance(
                 rng,
                 n_classes=int(rng.integers(2, 4)),
                 samples_per_class=int(rng.integers(2, 4)),
@@ -211,14 +203,14 @@ def test_criterion_1_gradient_suite():
                 dim=int(rng.integers(4, 9)),
             )
 
-            def f_comb(vec, batch=batch, weights=weights, omega=omega, labels=labels):
-                return combined_loss(rebuild_batch(batch, vec), weights, omega, labels, HP).combined
+            def f_comb(vec, batch=batch, weights=weights, omega=omega):
+                return combined_loss(rebuild_batch(batch, vec), weights, omega, HP).combined
 
-            out = combined_loss(batch, weights, omega, labels, HP)
+            out = combined_loss(batch, weights, omega, HP)
             _fd_ok(
                 f_comb,
                 flatten_embeddings(batch),
-                flatten_grads(batch, out.region_grads, out.image_grads),
+                flatten_grads(out.region_grads, out.image_grads),
             )
             instances += 1
 
@@ -274,16 +266,19 @@ def test_criterion_2_formula_oracles():
                         regions[RegionIndex(sid, slot, c)] = rng.standard_normal(6)
                     sid += 1
             assert len(regions) <= 12
-            table = region_weights(regions)
-            expected = brute_region_weights(regions)
-            for key in regions:
-                assert abs(table.weights[key] - expected["lam"][key]) < 1e-9
+            _, feats, sample_of, class_of = region_rows(regions)
+            table = region_weights(feats, sample_of, class_of)
+            expected = brute_region_weights(feats, sample_of, class_of)
+            for row in range(len(feats)):
+                assert abs(table.weights[row] - expected["lam"][row]) < 1e-9
 
-            unit_regions = {k2: v / np.linalg.norm(v) for k2, v in regions.items()}
-            weights = {k2: float(rng.uniform(0.4, 2.0)) for k2 in unit_regions}
-            batch = EmbeddingBatch({}, unit_regions, embed_dim=6)
+            unit_regions = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+            weights = np.array([rng.uniform(0.4, 2.0) for _ in unit_regions])
+            images = np.zeros((len(class_of), 6))
+            batch = EmbeddingBatch(images, unit_regions, sample_of, class_of, embed_dim=6)
             value, _ = local_compactness_loss(batch, weights, HP.tau)
-            assert abs(value - brute_local_loss(unit_regions, weights, HP.tau)) < 1e-9
+            brute = brute_local_loss(unit_regions, weights, class_of[sample_of], HP.tau)
+            assert abs(value - brute) < 1e-9
         elapsed = time.monotonic() - started
         assert elapsed < 30.0
 
@@ -292,12 +287,12 @@ def test_criterion_3_accumulator_law():
     with criterion(3, "accumulator law"):
 
         def table(mean_by_sample):
-            weights, phi, psi = {}, {}, {}
-            for sid, lams in mean_by_sample.items():
-                for slot, lam in enumerate(lams):
-                    key = RegionIndex(sid, slot, 0)
-                    weights[key], phi[key], psi[key] = lam, 1.0, 1.0
-            return RegionWeightTable(weights, phi, psi)
+            lams = [lam for sid in sorted(mean_by_sample) for lam in mean_by_sample[sid]]
+            sample_of = np.array([sid for sid in sorted(mean_by_sample) for _ in mean_by_sample[sid]])
+            ones = np.ones(len(lams))
+            return RegionWeightTable(
+                np.array(lams), ones, ones, sample_of, np.zeros(len(mean_by_sample), dtype=int)
+            )
 
         acc = accumulate_image_weights(
             ImageWeightAccumulator(momentum=0.7), table({0: (0.4, 0.6)})
@@ -322,38 +317,26 @@ def test_criterion_4_reduction_to_baseline():
             episode = generate_synthetic_episode(
                 5, 10, 2, 64, SyntheticNoiseConfig(label_noise_ratio=0.3), seed=400 + i
             )
-            cfg = AdaptationConfig(
-                seed=400 + i,
-                use_cora=off.cora,
-                use_local_loss=off.local_loss,
-                use_global_loss=off.global_loss,
-                use_accumulator=off.accumulator,
-                use_out_of_class=off.out_of_class_term,
-            )
+            cfg = AdaptationConfig(seed=400 + i, ablation=off)
             state = adapt_task(episode, cfg)
 
-            raw = {s.sample_id: np.asarray(s.image_feature) for s in episode.support}
-            ones = {s.sample_id: 1.0 for s in episode.support}
-            plain = build_classifier(raw, episode.labels(), ones, way=episode.way)
+            raw = np.stack([s.image_feature for s in episode.support])
+            labels = [s.label for s in episode.support]
+            ones = np.ones(len(raw))
+            plain = build_classifier(raw, labels, ones, way=episode.way)
 
-            adapted = {
-                s.sample_id: forward_features(state.adapter, s.image_feature)
-                for s in episode.support
-            }
+            omega = [state.final_image_weights[s.sample_id] for s in episode.support]
             piped = build_classifier(
-                adapted, episode.labels(), state.final_image_weights, way=episode.way
+                forward_features(state.adapter, raw), labels, omega, way=episode.way
             )
 
             manual_state_protos = build_classifier(
-                {sid: forward_features(init_adapter(64), f) for sid, f in raw.items()},
-                episode.labels(),
-                ones,
-                way=episode.way,
+                forward_features(init_adapter(64), raw), labels, ones, way=episode.way
             )
-            for q in episode.queries:
-                expected, _ = classify(q.image_feature, plain)
-                assert classify(forward_features(state.adapter, q.image_feature), piped)[0] == expected
-                assert classify(q.image_feature, manual_state_protos)[0] == expected
+            queries = np.stack([q.image_feature for q in episode.queries])
+            expected, _ = classify(queries, plain)
+            assert np.array_equal(classify(forward_features(state.adapter, queries), piped)[0], expected)
+            assert np.array_equal(classify(queries, manual_state_protos)[0], expected)
 
 
 def test_criterion_5_weight_separation_and_paired_gain(full_at_30):

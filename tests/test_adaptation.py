@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deta.adaptation import (
+    AblationFlags,
     AdaptationConfig,
     AdapterParams,
     adapt_task,
@@ -174,7 +175,7 @@ class TestAdaptTask:
     def test_single_iteration_first_branch(self):
         ep = small_episode()
         with_ma = adapt_task(ep, fast_cfg(iterations=1))
-        without_ma = adapt_task(ep, fast_cfg(iterations=1, use_accumulator=False))
+        without_ma = adapt_task(ep, fast_cfg(iterations=1, ablation=AblationFlags(accumulator=False)))
         assert with_ma.accumulator.iteration == 1
         assert with_ma.final_image_weights == pytest.approx(without_ma.final_image_weights)
 
@@ -208,11 +209,11 @@ class TestAdaptTask:
     def test_zero_lr_accuracy_equals_weighted_ncc_on_raw_features(self):
         ep = small_episode(seed=7)
         state = adapt_task(ep, fast_cfg(learning_rate=0.0))
-        feats = {s.sample_id: s.image_feature for s in ep.support}
-        protos = build_classifier(feats, ep.labels(), state.final_image_weights, way=ep.way)
-        hits = sum(
-            classify(q.image_feature, protos)[0] == q.ground_truth_label for q in ep.queries
-        )
+        feats = np.stack([s.image_feature for s in ep.support])
+        omega = [state.final_image_weights[s.sample_id] for s in ep.support]
+        protos = build_classifier(feats, [s.label for s in ep.support], omega, way=ep.way)
+        pred, _ = classify(np.stack([q.image_feature for q in ep.queries]), protos)
+        hits = sum(int(p == q.ground_truth_label) for p, q in zip(pred, ep.queries))
         assert evaluate(ep, state) == hits / len(ep.queries)
 
     def test_every_parameter_receives_gradient(self):
@@ -292,3 +293,11 @@ class TestAdaptTask:
             AdaptationConfig(learning_rate=-0.1)
         with pytest.raises(InvalidParameterError):
             AdaptationConfig(seed=-1)
+        with pytest.raises(InvalidParameterError):
+            AdaptationConfig(jitter=-0.1)
+        with pytest.raises(InvalidParameterError):
+            AdaptationConfig(momentum=1.0)
+        for knob in ("learning_rate", "jitter"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(InvalidParameterError, match=knob):
+                    AdaptationConfig(**{knob: bad})

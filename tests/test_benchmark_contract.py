@@ -1,0 +1,74 @@
+"""The benchmark's tracer still fits the package it wraps.
+
+perfbench/tracing.py wraps deta functions by name and checks the calls that
+adapt_task makes in each iteration. A renamed function or a changed call
+pattern must fail here, not only in traced benchmark runs.
+"""
+
+import importlib.util
+import types
+from pathlib import Path
+
+import deta.adaptation
+import deta.classifier
+import deta.cli
+import deta.errors
+import deta.harness
+import deta.losses
+import deta.relevance
+from deta.adaptation import AdaptationConfig
+from deta.harness import BenchmarkConfig
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def snapshot(owners):
+    return {owner: dict(vars(owner)) for owner in owners}
+
+
+def test_traced_episode_keeps_the_tracer_contract():
+    mods = types.SimpleNamespace(
+        adaptation=deta.adaptation,
+        classifier=deta.classifier,
+        cli=deta.cli,
+        errors=deta.errors,
+        harness=deta.harness,
+        losses=deta.losses,
+        relevance=deta.relevance,
+    )
+    owners = (*vars(mods).values(), deta.relevance.RegionIndex, deta.relevance.RegionWeightTable)
+    before = snapshot(owners)
+    tracer = load_tracing().Tracer(mods)
+    cfg = BenchmarkConfig(
+        way=3,
+        shot=4,
+        feature_dim=12,
+        query_shot=5,
+        noise_ratios=(0.3,),
+        episodes_per_cell=1,
+        adaptation=AdaptationConfig(iterations=3, embed_dim=16),
+    )
+    tracer.install()
+    try:
+        report = deta.harness.run_episode(cfg, 0.3, 0, 0)
+    finally:
+        tracer.remove()
+
+    assert not report.failed
+    assert tracer.structure_errors() == []
+    calls = tracer.summary()["calls"]
+    assert calls["episodes.resample"] == 3
+    assert tracer.counts["relevance.region_index_hash"] == 0
+    assert tracer.counts["classifier.classify"] <= 2
+    after = snapshot(owners)
+    for owner in owners:
+        assert after[owner].keys() == before[owner].keys()
+        for name, value in before[owner].items():
+            assert after[owner][name] is value, f"{owner.__name__}.{name} not restored"

@@ -1,49 +1,37 @@
 import numpy as np
 import pytest
 
-from deta.adaptation import AdaptationConfig, adapt_task
-from deta.classifier import (
-    build_classifier,
-    classify,
-    evaluate,
-    plain_ncc_accuracy,
-)
+from deta.adaptation import AblationFlags, AdaptationConfig, adapt_task
+from deta.classifier import build_classifier, classify, evaluate, plain_ncc_accuracy
 from deta.episodes import QuerySample, SyntheticNoiseConfig, TaskEpisode, generate_synthetic_episode
 from deta.errors import DegenerateVectorError, EmptyClassError, InvalidParameterError
 
 
 def toy_features():
-    features = {
-        0: np.array([1.0, 0.0, 0.0]),
-        1: np.array([3.0, 0.0, 0.0]),
-        2: np.array([0.0, 2.0, 0.0]),
-        3: np.array([0.0, 4.0, 0.0]),
-    }
-    labels = {0: 0, 1: 0, 2: 1, 3: 1}
-    return features, labels
+    features = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 4.0, 0.0]])
+    return features, np.array([0, 0, 1, 1])
 
 
 class TestBuildClassifier:
     def test_uniform_weights_reduce_to_plain_means(self):
         features, labels = toy_features()
-        ones = {sid: 1.0 for sid in features}
-        protos = build_classifier(features, labels, ones, way=2)
+        protos = build_classifier(features, labels, np.ones(4), way=2)
         assert np.allclose(protos.centroids[0], [2.0, 0.0, 0.0], atol=0)
         assert np.allclose(protos.centroids[1], [0.0, 3.0, 0.0], atol=0)
 
     def test_zero_weight_sample_has_no_influence(self):
         features, labels = toy_features()
-        omega = {0: 1.0, 1: 0.0, 2: 1.0, 3: 1.0}
+        omega = np.array([1.0, 0.0, 1.0, 1.0])
         protos_a = build_classifier(features, labels, omega, way=2)
-        features[1] = np.array([99.0, -99.0, 7.0])
+        features[1] = [99.0, -99.0, 7.0]
         protos_b = build_classifier(features, labels, omega, way=2)
         assert np.array_equal(protos_a.centroids[0], protos_b.centroids[0])
 
     def test_matches_literal_weighted_mean(self):
         rng = np.random.default_rng(0)
-        features = {sid: rng.standard_normal(4) for sid in range(6)}
-        labels = {sid: sid % 2 for sid in range(6)}
-        omega = {sid: float(rng.uniform(0.1, 2.0)) for sid in range(6)}
+        features = rng.standard_normal((6, 4))
+        labels = np.arange(6) % 2
+        omega = rng.uniform(0.1, 2.0, size=6)
         protos = build_classifier(features, labels, omega, way=2)
         for c in (0, 1):
             members = [sid for sid in range(6) if labels[sid] == c]
@@ -52,90 +40,67 @@ class TestBuildClassifier:
 
     def test_empty_class_detected(self):
         features, labels = toy_features()
-        ones = {sid: 1.0 for sid in features}
         with pytest.raises(EmptyClassError):
-            build_classifier(features, labels, ones, way=3)
-
-    def test_unknown_metric(self):
-        features, labels = toy_features()
-        with pytest.raises(InvalidParameterError):
-            build_classifier(features, labels, {sid: 1.0 for sid in features}, metric="manhattan")
+            build_classifier(features, labels, np.ones(4), way=3)
 
 
 class TestClassify:
     def _protos(self):
         features, labels = toy_features()
-        return build_classifier(features, labels, {sid: 1.0 for sid in features}, way=2)
+        return build_classifier(features, labels, np.ones(4), way=2)
 
     def test_query_on_centroid_wins(self):
-        protos = self._protos()
-        pred, scores = classify(np.array([0.0, 1.0, 0.0]), protos)
-        assert pred == 1
-        assert scores.shape == (2,)
+        pred, scores = classify(np.array([[0.0, 1.0, 0.0]]), self._protos())
+        assert pred.tolist() == [1]
+        assert scores.shape == (1, 2)
 
     def test_exact_tie_breaks_to_lowest_class(self):
-        protos = self._protos()
-        pred, scores = classify(np.array([1.0, 1.0, 0.0]), protos)
-        assert scores[0] == scores[1]
-        assert pred == 0
+        pred, scores = classify(np.array([[1.0, 1.0, 0.0]]), self._protos())
+        assert scores[0, 0] == scores[0, 1]
+        assert pred.tolist() == [0]
 
     def test_orthogonal_query_all_zero_scores(self):
-        protos = self._protos()
-        pred, scores = classify(np.array([0.0, 0.0, 5.0]), protos)
+        pred, scores = classify(np.array([[0.0, 0.0, 5.0]]), self._protos())
         assert np.all(scores == 0.0)
-        assert pred == 0
+        assert pred.tolist() == [0]
 
     def test_matches_exhaustive_argmax(self):
         rng = np.random.default_rng(1)
-        centroids = {c: rng.standard_normal(6) for c in range(5)}
-        features = {c: centroids[c] for c in range(5)}
-        protos = build_classifier(features, {c: c for c in range(5)}, {c: 1.0 for c in range(5)})
-        for _ in range(50):
-            q = rng.standard_normal(6)
-            pred, scores = classify(q, protos)
+        centroids = rng.standard_normal((5, 6))
+        protos = build_classifier(centroids, np.arange(5), np.ones(5))
+        queries = rng.standard_normal((50, 6))
+        pred, _ = classify(queries, protos)
+        for q, p in zip(queries, pred):
             best = max(
-                sorted(centroids),
+                range(5),
                 key=lambda c: float(np.dot(q, centroids[c]))
                 / (np.linalg.norm(q) * np.linalg.norm(centroids[c])),
             )
-            assert pred == best
+            assert p == best
 
     def test_argmax_invariant_to_query_rescaling(self):
         protos = self._protos()
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            q = rng.standard_normal(3)
-            pred, scores = classify(q, protos)
-            pred2, scores2 = classify(4.0 * q, protos)  # power of two: exact
-            assert pred == pred2
-            assert np.array_equal(scores, scores2)
-            pred3, _ = classify(3.7 * q, protos)
-            assert pred == pred3
+        queries = np.random.default_rng(2).standard_normal((20, 3))
+        pred, scores = classify(queries, protos)
+        pred2, scores2 = classify(4.0 * queries, protos)  # power of two: exact
+        assert np.array_equal(pred, pred2)
+        assert np.array_equal(scores, scores2)
+        pred3, _ = classify(3.7 * queries, protos)
+        assert np.array_equal(pred, pred3)
 
     def test_class_relabeling_permutes_predictions(self):
         rng = np.random.default_rng(3)
-        features = {sid: rng.standard_normal(5) for sid in range(9)}
-        labels = {sid: sid % 3 for sid in range(9)}
-        ones = {sid: 1.0 for sid in range(9)}
-        perm = {0: 2, 1: 0, 2: 1}
-        protos = build_classifier(features, labels, ones, way=3)
-        protos_perm = build_classifier(features, {s: perm[c] for s, c in labels.items()}, ones, way=3)
-        for _ in range(25):
-            q = rng.standard_normal(5)
-            assert perm[classify(q, protos)[0]] == classify(q, protos_perm)[0]
+        features = rng.standard_normal((9, 5))
+        labels = np.arange(9) % 3
+        perm = np.array([2, 0, 1])
+        protos = build_classifier(features, labels, np.ones(9), way=3)
+        protos_perm = build_classifier(features, perm[labels], np.ones(9), way=3)
+        queries = rng.standard_normal((25, 5))
+        assert np.array_equal(perm[classify(queries, protos)[0]], classify(queries, protos_perm)[0])
 
     def test_zero_query_rejected(self):
         with pytest.raises(DegenerateVectorError):
-            classify(np.zeros(3), self._protos())
-
-    def test_euclidean_metric(self):
-        features, labels = toy_features()
-        protos = build_classifier(
-            features, labels, {sid: 1.0 for sid in features}, way=2, metric="euclidean"
-        )
-        pred, scores = classify(np.array([0.0, 3.0, 0.0]), protos)
-        assert pred == 1
-        assert np.all(scores <= 0.0)
+            classify(np.zeros((1, 3)), self._protos())
 
 
 class TestEvaluate:
@@ -179,15 +144,10 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         hits, total = 0, 0
         for _ in range(200):
-            centroids = {c: rng.standard_normal(16) for c in range(5)}
-            protos = build_classifier(
-                centroids, {c: c for c in range(5)}, {c: 1.0 for c in range(5)}
-            )
-            for c in range(5):
-                for _ in range(10):
-                    q = rng.standard_normal(16)
-                    hits += int(classify(q, protos)[0] == c)
-                    total += 1
+            protos = build_classifier(rng.standard_normal((5, 16)), np.arange(5), np.ones(5))
+            truth = np.repeat(np.arange(5), 10)
+            hits += int(np.sum(classify(rng.standard_normal((50, 16)), protos)[0] == truth))
+            total += truth.size
         assert abs(hits / total - 0.2) <= 0.02
 
     def test_uniform_weights_identity_adapter_equals_plain_ncc(self):
@@ -200,9 +160,7 @@ class TestEvaluate:
                 AdaptationConfig(
                     iterations=2,
                     learning_rate=0.0,
-                    use_cora=False,
-                    use_local_loss=False,
-                    use_global_loss=False,
+                    ablation=AblationFlags(cora=False, local_loss=False, global_loss=False),
                     seed=seed,
                 ),
             )

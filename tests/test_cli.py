@@ -62,6 +62,11 @@ class TestAdapt:
         code = run(["adapt", "--episode", str(tmp_path / "nope.json"), "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    def test_episode_path_is_a_directory(self, tmp_path, capsys):
+        code = run(["adapt", "--episode", str(tmp_path), "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_episode_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -97,6 +102,23 @@ class TestWeights:
         assert rows[0] == ["iteration", "sample_id", "region_slot", "phi", "psi", "lambda", "omega"]
         assert len(rows) == 1 + 4 * 12 * 2
         assert {r[0] for r in rows[1:]} == {"1", "2", "3", "4"}
+
+
+    def test_trace_rows_follow_sample_id_order(self, tmp_path, episode_file):
+        # support stored out of id order: rows still go by iteration, sample id, slot
+        doc = json.loads(episode_file.read_text())
+        for entry, new_id in zip(doc["support"], (70, 3, 41, 12, 99, 5, 64, 28, 17, 50, 8, 33)):
+            entry["id"] = new_id
+        doc["support"].reverse()
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(doc))
+        out = tmp_path / "weights.csv"
+        code = run(["weights", "--episode", str(shuffled), "--out", str(out), "--iterations", "2"])
+        assert code == 0
+        with open(out) as fh:
+            keys = [(int(r[0]), int(r[1]), int(r[2])) for r in list(csv.reader(fh))[1:]]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == 2 * 12 * 2
 
 
 class TestBench:
@@ -143,6 +165,23 @@ class TestBench:
         args = self._bench_args(tmp_path / "r.csv")
         args[args.index("--noise-ratios") + 1] = "1.5"
         assert run(args) == 2
+
+    @pytest.mark.parametrize(
+        "flag,value,knob",
+        [
+            ("--lr", "nan", "learning_rate"),
+            ("--tau", "inf", "tau"),
+            ("--pi", "nan", "pi"),
+            ("--beta", "inf", "beta"),
+            ("--jitter", "nan", "jitter"),
+            ("--class-separation", "nan", "class_separation"),
+        ],
+    )
+    def test_non_finite_knob_exits_config_error(self, tmp_path, capsys, flag, value, knob):
+        out = tmp_path / "r.csv"
+        assert run(self._bench_args(out) + [flag, value]) == 2
+        assert knob in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_ablation_rejected_by_parser(self, tmp_path):
         args = self._bench_args(tmp_path / "r.csv") + ["--ablation", "bogus"]

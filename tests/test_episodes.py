@@ -254,13 +254,13 @@ class TestResampleRegions:
     def test_loaded_exact_k_zero_jitter_returns_stored(self, tmp_path):
         ep = self._loaded(tmp_path, k_stored=2)
         drawn = resample_regions(ep, 2, jitter=0.0, seed=0)
-        for s in ep.support:
-            assert np.array_equal(drawn[s.sample_id], s.region_features)
+        for pos, s in enumerate(ep.support):
+            assert np.array_equal(drawn[pos], s.region_features)
 
     def test_k_one_gives_one_region_each(self, tmp_path):
         ep = self._loaded(tmp_path, k_stored=3)
         drawn = resample_regions(ep, 1, jitter=0.0, seed=0)
-        assert all(v.shape == (1, 8) for v in drawn.values())
+        assert drawn.shape == (ep.n_support, 1, 8)
 
     def test_loaded_too_few_regions(self, tmp_path):
         ep = self._loaded(tmp_path, k_stored=2)
@@ -273,7 +273,7 @@ class TestResampleRegions:
         for pair in range(100):
             a = resample_regions(ep, 2, jitter=0.0, seed=2 * pair)
             b = resample_regions(ep, 2, jitter=0.0, seed=2 * pair + 1)
-            if any(not np.array_equal(a[sid], b[sid]) for sid in a):
+            if any(not np.array_equal(ra, rb) for ra, rb in zip(a, b)):
                 differing += 1
         assert differing >= 90
 
@@ -282,14 +282,13 @@ class TestResampleRegions:
         a = resample_regions(ep, 2, jitter=0.0, seed=123)
         b = resample_regions(ep, 2, jitter=0.0, seed=123)
         c = resample_regions(ep, 2, jitter=0.0, seed=124)
-        for sid in a:
-            assert np.array_equal(a[sid], b[sid])
-        assert any(not np.array_equal(a[sid], c[sid]) for sid in a)
+        assert np.array_equal(a, b)
+        assert any(not np.array_equal(ra, rc) for ra, rc in zip(a, c))
 
     def test_synthetic_supports_larger_k(self):
         ep = make_episode(seed=8)
         drawn = resample_regions(ep, 5, jitter=0.0, seed=1)
-        assert all(v.shape == (5, 16) for v in drawn.values())
+        assert drawn.shape == (ep.n_support, 5, 16)
 
 
 class TestEpisodeInvariants:

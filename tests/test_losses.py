@@ -12,14 +12,11 @@ from deta.errors import (
 from deta.losses import (
     EmbeddingBatch,
     LossHyperparams,
-    class_prototypes,
     combined_loss,
     global_dispersion_loss,
     local_compactness_loss,
-    pairwise_local_term,
-    region_class_posterior,
 )
-from deta.relevance import RegionIndex
+from deta.numerics import segment_mean
 from oracles import (
     brute_global_loss,
     brute_local_loss,
@@ -36,310 +33,321 @@ def unit(*coords):
     return v / np.linalg.norm(v)
 
 
+def region_batch(regions, region_class):
+    """One region per sample, no image embeddings needed: for local-loss tests."""
+    regions = np.array(regions, dtype=float)
+    return EmbeddingBatch(
+        image_embeddings=np.zeros((len(regions), regions.shape[1])),
+        region_embeddings=regions,
+        sample_of=np.arange(len(regions)),
+        class_of=np.asarray(region_class),
+        embed_dim=regions.shape[1],
+    )
+
+
+def region_class(batch):
+    return batch.class_of[batch.sample_of]
+
+
+def single_region_posterior_loss(region, prototypes, own_class, pi=0.07):
+    """Global loss of one unit-weight region: minus the log of its class posterior.
+
+    Each prototype is the image embedding of a one-sample class with omega 1.
+    """
+    prototypes = np.array(prototypes, dtype=float)
+    batch = EmbeddingBatch(
+        image_embeddings=prototypes,
+        region_embeddings=np.array([region], dtype=float),
+        sample_of=np.array([own_class]),
+        class_of=np.arange(len(prototypes)),
+        embed_dim=prototypes.shape[1],
+    )
+    value, _, _ = global_dispersion_loss(batch, np.ones(1), np.ones(len(prototypes)), pi)
+    return value
+
+
 class TestPairwiseLocalTerm:
+    """Pair terms of the local loss, seen through the loss over all ordered pairs."""
+
     def test_two_region_universe_is_zero(self):
-        i = RegionIndex(0, 0, 0)
-        j = RegionIndex(1, 0, 0)
-        regions = {i: unit(1, 0), j: unit(0.6, 0.8)}
-        weights = {i: 1.0, j: 1.0}
-        assert pairwise_local_term(regions, weights, i, j, tau=0.5) == pytest.approx(0.0, abs=1e-15)
+        batch = region_batch([unit(1, 0), unit(0.6, 0.8)], [0, 0])
+        value, _ = local_compactness_loss(batch, np.ones(2), tau=0.5)
+        assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_duplicate_direction_with_orthogonal_negative(self):
-        i, j, v = RegionIndex(0, 0, 0), RegionIndex(1, 0, 0), RegionIndex(2, 0, 1)
-        regions = {i: unit(1, 0), j: unit(1, 0), v: unit(0, 1)}
-        weights = {i: 1.0, j: 1.0, v: 1.0}
-        expected = -math.log(math.e**2 / (math.e**2 + 1.0))
-        term = pairwise_local_term(regions, weights, i, j, tau=0.5)
-        assert term == pytest.approx(expected, abs=1e-12)
+        batch = region_batch([unit(1, 0), unit(1, 0), unit(0, 1)], [0, 0, 1])
+        term = -math.log(math.e**2 / (math.e**2 + 1.0))
+        value, _ = local_compactness_loss(batch, np.ones(3), tau=0.5)
+        # both ordered pairs of the one same-class pair carry the same term
+        assert value == pytest.approx(2.0 * term, abs=1e-12)
 
     def test_high_temperature_limit(self):
         rng = np.random.default_rng(0)
-        regions = {
-            RegionIndex(s, 0, s % 2): unit(*rng.standard_normal(4)) for s in range(6)
-        }
-        weights = {k: 1.0 for k in regions}
-        keys = sorted(regions)
-        term = pairwise_local_term(regions, weights, keys[0], keys[2], tau=1e9)
-        assert term == pytest.approx(math.log(len(regions) - 1), abs=1e-6)
+        batch = region_batch([unit(*rng.standard_normal(4)) for _ in range(6)], [0, 1] * 3)
+        value, _ = local_compactness_loss(batch, np.ones(6), tau=1e9)
+        # 12 ordered pairs, each -> log(5), over 6 unordered pairs
+        assert value == pytest.approx(2.0 * math.log(5), abs=1e-6)
 
     def test_same_index_rejected(self):
-        i = RegionIndex(0, 0, 0)
-        with pytest.raises(InvalidParameterError):
-            pairwise_local_term({i: unit(1, 0)}, {i: 1.0}, i, i, tau=0.5)
+        # a region is never its own partner: alone in the batch it forms no pair
+        value, grads = local_compactness_loss(region_batch([unit(1, 0)], [0]), np.ones(1), tau=0.5)
+        assert value == 0.0
+        assert np.all(grads == 0.0)
 
 
 class TestLocalCompactnessLoss:
     def test_single_class_two_regions_zero(self):
-        i, j = RegionIndex(0, 0, 0), RegionIndex(1, 0, 0)
-        batch = EmbeddingBatch({}, {i: unit(1, 0, 0), j: unit(0, 1, 0)}, embed_dim=3)
-        value, grads = local_compactness_loss(batch, {i: 1.3, j: 0.7}, tau=0.5)
+        batch = region_batch([unit(1, 0, 0), unit(0, 1, 0)], [0, 0])
+        value, grads = local_compactness_loss(batch, np.array([1.3, 0.7]), tau=0.5)
         assert value == 0.0
-        assert all(np.all(g == 0.0) for g in grads.values())
+        assert np.all(grads == 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for trial in range(4):
-            batch, weights, _, _ = make_instance(rng, n_classes=3, samples_per_class=2, k=2)
+            batch, weights, _ = make_instance(rng, n_classes=3, samples_per_class=2, k=2)
             value, _ = local_compactness_loss(batch, weights, tau=0.5)
-            expected = brute_local_loss(batch.region_embeddings, weights, tau=0.5)
+            expected = brute_local_loss(batch.region_embeddings, weights, region_class(batch), 0.5)
             assert value == pytest.approx(expected, abs=1e-9)
 
     def test_unit_weights_single_region_supervised_contrastive(self):
         rng = np.random.default_rng(2)
-        batch, _, _, _ = make_instance(rng, n_classes=3, samples_per_class=4, k=1)
-        ones = {k: 1.0 for k in batch.region_embeddings}
+        batch, _, _ = make_instance(rng, n_classes=3, samples_per_class=4, k=1)
+        ones = np.ones(len(batch.region_embeddings))
         value, _ = local_compactness_loss(batch, ones, tau=0.5)
-        expected = brute_local_loss(batch.region_embeddings, ones, tau=0.5)
+        expected = brute_local_loss(batch.region_embeddings, ones, region_class(batch), 0.5)
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_doubling_weights_changes_value(self):
         rng = np.random.default_rng(3)
-        batch, weights, _, _ = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
+        batch, weights, _ = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
         value, _ = local_compactness_loss(batch, weights, tau=0.5)
-        doubled = {k: 2.0 * v for k, v in weights.items()}
+        doubled = 2.0 * weights
         value2, _ = local_compactness_loss(batch, doubled, tau=0.5)
         assert value != pytest.approx(value2, abs=1e-6)
         assert value2 == pytest.approx(
-            brute_local_loss(batch.region_embeddings, doubled, tau=0.5), abs=1e-9
+            brute_local_loss(batch.region_embeddings, doubled, region_class(batch), 0.5), abs=1e-9
         )
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        batch, weights, _, _ = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
-        template = batch
+        batch, weights, _ = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
 
         def f(vec):
-            value, _ = local_compactness_loss(rebuild_batch(template, vec), weights, tau=0.5)
+            value, _ = local_compactness_loss(rebuild_batch(batch, vec), weights, tau=0.5)
             return value
 
         _, grads = local_compactness_loss(batch, weights, tau=0.5)
-        analytic = flatten_grads(batch, grads, {i: np.zeros(6) for i in batch.image_embeddings})
+        analytic = flatten_grads(grads, np.zeros_like(batch.image_embeddings))
         ok, worst = fd_matches(f, flatten_embeddings(batch), analytic)
         assert ok, f"worst tolerance ratio {worst}"
 
     def test_class_label_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        batch, weights, _, _ = make_instance(rng, n_classes=3, samples_per_class=2, k=2)
+        batch, weights, _ = make_instance(rng, n_classes=3, samples_per_class=2, k=2)
         value, _ = local_compactness_loss(batch, weights, tau=0.5)
-        relabel = {0: 2, 1: 0, 2: 1}
-        regs = {
-            RegionIndex(k.sample_id, k.region_slot, relabel[k.class_id]): v
-            for k, v in batch.region_embeddings.items()
-        }
-        w2 = {
-            RegionIndex(k.sample_id, k.region_slot, relabel[k.class_id]): v
-            for k, v in weights.items()
-        }
-        batch2 = EmbeddingBatch({}, regs, embed_dim=batch.embed_dim)
-        value2, _ = local_compactness_loss(batch2, w2, tau=0.5)
+        relabel = np.array([2, 0, 1])
+        batch.class_of = relabel[batch.class_of]
+        value2, _ = local_compactness_loss(batch, weights, tau=0.5)
         assert value == pytest.approx(value2, abs=1e-12)
 
     def test_missing_weight(self):
         rng = np.random.default_rng(6)
-        batch, weights, _, _ = make_instance(rng)
-        weights.pop(sorted(weights)[0])
+        batch, weights, _ = make_instance(rng)
         with pytest.raises(MissingWeightError):
-            local_compactness_loss(batch, weights, tau=0.5)
+            local_compactness_loss(batch, weights[1:], tau=0.5)
 
     def test_large_weight_logits_stay_finite(self):
         rng = np.random.default_rng(7)
-        batch, _, _, _ = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
-        big = {k: 50.0 for k in batch.region_embeddings}
+        batch, _, _ = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
+        big = np.full(len(batch.region_embeddings), 50.0)
         value, grads = local_compactness_loss(batch, big, tau=0.07)
         assert np.isfinite(value)
-        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert np.all(np.isfinite(grads))
 
 
 class TestPrototypes:
+    """Class prototypes: the segment mean shared by the global loss and the classifier."""
+
     def test_identical_members(self):
         e = unit(1, 2, 2)
-        protos = class_prototypes({0: e, 1: e.copy()}, {0: 1.0, 1: 1.0}, {0: 0, 1: 0})
+        protos, _ = segment_mean([e, e.copy()], [0, 0], 1, weights=np.ones(2))
         assert np.allclose(protos[0], e, atol=1e-15)
 
     def test_arithmetic_mean(self):
-        protos = class_prototypes(
-            {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])},
-            {0: 1.0, 1: 1.0},
-            {0: 0, 1: 0},
-        )
+        protos, counts = segment_mean([[1.0, 0.0], [0.0, 1.0]], [0, 0], 1, weights=np.ones(2))
         assert np.allclose(protos[0], [0.5, 0.5], atol=0)
+        assert counts.tolist() == [2.0]
 
     def test_zero_weight_member_vanishes(self):
-        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        protos = class_prototypes({0: e1, 1: e2}, {0: 2.0, 1: 0.0}, {0: 0, 1: 0})
-        assert np.allclose(protos[0], e1, atol=0)
+        protos, _ = segment_mean([[1.0, 0.0], [0.0, 1.0]], [0, 0], 1, weights=np.array([2.0, 0.0]))
+        assert np.allclose(protos[0], [1.0, 0.0], atol=0)
 
     def test_no_renormalization(self):
         e = unit(1, 0)
-        protos = class_prototypes({0: e, 1: e.copy()}, {0: 0.5, 1: 0.5}, {0: 0, 1: 0})
+        protos, _ = segment_mean([e, e.copy()], [0, 0], 1, weights=np.array([0.5, 0.5]))
         assert np.linalg.norm(protos[0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_empty_input(self):
         with pytest.raises(EmptyClassError):
-            class_prototypes({}, {}, {})
+            segment_mean(np.zeros((0, 2)), np.zeros(0, dtype=int), 1)
 
 
 class TestPosterior:
+    """Region-to-prototype posteriors, seen through the global loss of one region."""
+
     def test_equal_similarity_gives_half(self):
-        protos = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-        post = region_class_posterior(unit(1, 1), protos, pi=0.07)
-        assert np.allclose(post, [0.5, 0.5], atol=1e-12)
+        value = single_region_posterior_loss(unit(1, 1), [[1.0, 0.0], [0.0, 1.0]], own_class=0)
+        assert math.exp(-value) == pytest.approx(0.5, abs=1e-12)
 
     def test_equidistant_uniform(self):
-        protos = {c: np.eye(5)[c] for c in range(5)}
-        post = region_class_posterior(unit(1, 1, 1, 1, 1), protos, pi=0.07)
-        assert np.allclose(post, 0.2, atol=1e-12)
+        value = single_region_posterior_loss(unit(1, 1, 1, 1, 1), np.eye(5), own_class=3)
+        assert math.exp(-value) == pytest.approx(0.2, abs=1e-12)
 
     def test_collinear_vs_orthogonal_logistic(self):
-        protos = {0: np.array([2.0, 0.0]), 1: np.array([0.0, 3.0])}
-        post = region_class_posterior(np.array([1.0, 0.0]), protos, pi=0.07)
+        protos = [[2.0, 0.0], [0.0, 3.0]]
         sigma = 1.0 / (1.0 + math.exp(-1.0 / 0.07))
-        assert post[0] == pytest.approx(sigma, abs=1e-12)
-        assert post[1] == pytest.approx(1.0 - sigma, abs=1e-12)
+        own = math.exp(-single_region_posterior_loss([1.0, 0.0], protos, own_class=0))
+        other = math.exp(-single_region_posterior_loss([1.0, 0.0], protos, own_class=1))
+        assert own == pytest.approx(sigma, abs=1e-12)
+        assert other == pytest.approx(1.0 - sigma, abs=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(8)
-        protos = {c: rng.standard_normal(4) for c in range(6)}
-        post = region_class_posterior(unit(*rng.standard_normal(4)), protos, pi=0.07)
-        assert abs(post.sum() - 1.0) < 1e-12
+        protos = rng.standard_normal((6, 4))
+        region = unit(*rng.standard_normal(4))
+        posterior = [math.exp(-single_region_posterior_loss(region, protos, c)) for c in range(6)]
+        assert abs(sum(posterior) - 1.0) < 1e-12
 
     def test_zero_prototype(self):
         with pytest.raises(DegenerateVectorError):
-            region_class_posterior(unit(1, 0), {0: np.zeros(2), 1: unit(0, 1)}, pi=0.07)
+            single_region_posterior_loss(unit(1, 0), [np.zeros(2), unit(0, 1)], own_class=0)
 
 
 class TestGlobalDispersionLoss:
     def test_equidistant_single_region_ln2(self):
-        key = RegionIndex(0, 0, 0)
         batch = EmbeddingBatch(
-            image_embeddings={0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])},
-            region_embeddings={key: unit(1, 1)},
+            image_embeddings=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            region_embeddings=np.array([unit(1, 1)]),
+            sample_of=np.array([0]),
+            class_of=np.array([0, 1]),
             embed_dim=2,
         )
-        value, _, _ = global_dispersion_loss(
-            batch, {key: 1.0}, {0: 1.0, 1: 1.0}, {0: 0, 1: 1}, pi=0.07
-        )
+        value, _, _ = global_dispersion_loss(batch, np.ones(1), np.ones(2), pi=0.07)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_zero_weights_annihilate(self):
         rng = np.random.default_rng(9)
-        batch, weights, omega, labels = make_instance(rng)
-        zeros = {k: 0.0 for k in weights}
-        value, reg_g, img_g = global_dispersion_loss(batch, zeros, omega, labels, pi=0.07)
+        batch, weights, omega = make_instance(rng)
+        value, reg_g, img_g = global_dispersion_loss(batch, np.zeros_like(weights), omega, pi=0.07)
         assert value == 0.0
-        assert all(np.all(g == 0.0) for g in reg_g.values())
-        assert all(np.all(g == 0.0) for g in img_g.values())
+        assert np.all(reg_g == 0.0)
+        assert np.all(img_g == 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
         for trial in range(4):
-            batch, weights, omega, labels = make_instance(rng, n_classes=3, samples_per_class=2)
-            value, _, _ = global_dispersion_loss(batch, weights, omega, labels, pi=0.07)
+            batch, weights, omega = make_instance(rng, n_classes=3, samples_per_class=2)
+            value, _, _ = global_dispersion_loss(batch, weights, omega, pi=0.07)
             expected = brute_global_loss(
-                batch.region_embeddings, weights, batch.image_embeddings, omega, labels, pi=0.07
+                batch.region_embeddings,
+                weights,
+                batch.image_embeddings,
+                omega,
+                batch.sample_of,
+                batch.class_of,
+                pi=0.07,
             )
             assert value == pytest.approx(expected, abs=1e-9)
 
     def test_joint_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        batch, weights, omega, labels = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
-        template = batch
+        batch, weights, omega = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
 
         def f(vec):
-            value, _, _ = global_dispersion_loss(
-                rebuild_batch(template, vec), weights, omega, labels, pi=0.07
-            )
+            value, _, _ = global_dispersion_loss(rebuild_batch(batch, vec), weights, omega, pi=0.07)
             return value
 
-        _, reg_g, img_g = global_dispersion_loss(batch, weights, omega, labels, pi=0.07)
-        analytic = flatten_grads(batch, reg_g, img_g)
-        ok, worst = fd_matches(f, flatten_embeddings(batch), analytic)
+        _, reg_g, img_g = global_dispersion_loss(batch, weights, omega, pi=0.07)
+        ok, worst = fd_matches(f, flatten_embeddings(batch), flatten_grads(reg_g, img_g))
         assert ok, f"worst tolerance ratio {worst}"
 
     def test_region_with_unknown_class(self):
+        # a region row pointing at a sample without an image embedding has no class
         rng = np.random.default_rng(12)
-        batch, weights, omega, labels = make_instance(rng)
-        key = RegionIndex(99, 0, 7)
-        batch.region_embeddings[key] = unit(*rng.standard_normal(6))
-        weights[key] = 1.0
-        with pytest.raises(EmptyClassError):
-            global_dispersion_loss(batch, weights, omega, labels, pi=0.07)
+        batch, weights, omega = make_instance(rng)
+        batch.region_embeddings = np.vstack([batch.region_embeddings, unit(*rng.standard_normal(6))])
+        batch.sample_of = np.append(batch.sample_of, 99)
+        with pytest.raises(InvalidParameterError):
+            global_dispersion_loss(batch, np.append(weights, 1.0), omega, pi=0.07)
 
 
 class TestCombinedLoss:
     def test_linear_combination(self):
         rng = np.random.default_rng(13)
-        batch, weights, omega, labels = make_instance(rng)
+        batch, weights, omega = make_instance(rng)
         hp = LossHyperparams(tau=0.5, pi=0.07, beta=0.1)
-        out = combined_loss(batch, weights, omega, labels, hp)
+        out = combined_loss(batch, weights, omega, hp)
         assert out.combined == hp.beta * out.l_local + out.l_global
         assert out.l_local > 0.0
         assert out.l_global > 0.0
 
     def test_beta_zero_reduces_to_global(self):
         rng = np.random.default_rng(14)
-        batch, weights, omega, labels = make_instance(rng)
-        out = combined_loss(batch, weights, omega, labels, LossHyperparams(beta=0.0))
+        batch, weights, omega = make_instance(rng)
+        out = combined_loss(batch, weights, omega, LossHyperparams(beta=0.0))
         assert out.combined == out.l_global
 
     def test_include_flags(self):
         rng = np.random.default_rng(15)
-        batch, weights, omega, labels = make_instance(rng)
+        batch, weights, omega = make_instance(rng)
         hp = LossHyperparams()
-        only_global = combined_loss(batch, weights, omega, labels, hp, include_local=False)
+        only_global = combined_loss(batch, weights, omega, hp, include_local=False)
         assert only_global.l_local == 0.0
         assert only_global.combined == only_global.l_global
-        only_local = combined_loss(batch, weights, omega, labels, hp, include_global=False)
+        only_local = combined_loss(batch, weights, omega, hp, include_global=False)
         assert only_local.l_global == 0.0
         assert only_local.combined == hp.beta * only_local.l_local
-        neither = combined_loss(
-            batch, weights, omega, labels, hp, include_local=False, include_global=False
-        )
+        neither = combined_loss(batch, weights, omega, hp, include_local=False, include_global=False)
         assert neither.combined == 0.0
-        assert all(np.all(g == 0.0) for g in neither.region_grads.values())
+        assert np.all(neither.region_grads == 0.0)
 
     def test_gradient_linearity_in_beta(self):
         rng = np.random.default_rng(16)
-        batch, weights, omega, labels = make_instance(rng)
+        batch, weights, omega = make_instance(rng)
         l_grads = local_compactness_loss(batch, weights, tau=0.5)[1]
-        _, g_reg, g_img = global_dispersion_loss(batch, weights, omega, labels, pi=0.07)
-        out = combined_loss(batch, weights, omega, labels, LossHyperparams(beta=0.2))
-        for key in batch.region_embeddings:
-            expected = 0.2 * l_grads[key] + g_reg[key]
-            assert np.allclose(out.region_grads[key], expected, atol=1e-15)
-        for sid in batch.image_embeddings:
-            assert np.allclose(out.image_grads[sid], g_img[sid], atol=0)
+        _, g_reg, g_img = global_dispersion_loss(batch, weights, omega, pi=0.07)
+        out = combined_loss(batch, weights, omega, LossHyperparams(beta=0.2))
+        assert np.allclose(out.region_grads, 0.2 * l_grads + g_reg, atol=1e-15)
+        assert np.allclose(out.image_grads, g_img, atol=0)
 
     def test_combined_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
-        batch, weights, omega, labels = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
+        batch, weights, omega = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
         hp = LossHyperparams()
-        template = batch
 
         def f(vec):
-            return combined_loss(rebuild_batch(template, vec), weights, omega, labels, hp).combined
+            return combined_loss(rebuild_batch(batch, vec), weights, omega, hp).combined
 
-        out = combined_loss(batch, weights, omega, labels, hp)
-        analytic = flatten_grads(batch, out.region_grads, out.image_grads)
+        out = combined_loss(batch, weights, omega, hp)
+        analytic = flatten_grads(out.region_grads, out.image_grads)
         ok, worst = fd_matches(f, flatten_embeddings(batch), analytic)
         assert ok, f"worst tolerance ratio {worst}"
 
     def test_gradient_descent_decreases_loss_every_step(self):
         rng = np.random.default_rng(18)
-        batch, _, _, labels_full = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
-        ones_r = {k: 1.0 for k in batch.region_embeddings}
-        ones_i = {i: 1.0 for i in batch.image_embeddings}
+        batch, _, _ = make_instance(rng, n_classes=2, samples_per_class=2, k=2)
+        ones_r = np.ones(len(batch.region_embeddings))
+        ones_i = np.ones(len(batch.image_embeddings))
         hp = LossHyperparams()
         vec = flatten_embeddings(batch)
-        template = batch
         previous = None
         for step in range(500):
-            current = rebuild_batch(template, vec)
-            out = combined_loss(current, ones_r, ones_i, labels_full, hp)
+            out = combined_loss(rebuild_batch(batch, vec), ones_r, ones_i, hp)
             if previous is not None:
                 assert out.combined < previous, f"no decrease at step {step}"
             previous = out.combined
-            vec = vec - 1e-3 * flatten_grads(current, out.region_grads, out.image_grads)
+            vec = vec - 1e-3 * flatten_grads(out.region_grads, out.image_grads)
 
     def test_hyperparams_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -348,10 +356,13 @@ class TestCombinedLoss:
             LossHyperparams(pi=-0.1)
         with pytest.raises(InvalidParameterError):
             LossHyperparams(beta=-0.5)
+        for knob in ("tau", "pi", "beta"):
+            with pytest.raises(InvalidParameterError, match=knob):
+                LossHyperparams(**{knob: float("inf")})
 
     def test_batch_validate(self):
         rng = np.random.default_rng(19)
-        batch, _, _, _ = make_instance(rng)
+        batch, _, _ = make_instance(rng)
         batch.validate()
         batch.image_embeddings[0] = batch.image_embeddings[0] * 2.0
         with pytest.raises(InvalidParameterError):

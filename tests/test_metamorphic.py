@@ -1,0 +1,63 @@
+"""Metamorphic properties of the whole pipeline under relabelings of the support set.
+
+The episode is a loaded one (no generative source) whose support samples
+store exactly k regions, adapted with jitter 0: resampling then returns every
+stored region, so a run depends on the support set and not on how it is
+ordered or named.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deta.adaptation import AdaptationConfig, adapt_task
+from deta.classifier import predict
+from deta.episodes import SyntheticNoiseConfig, episode_from_dict, generate_synthetic_episode
+
+WAY, SHOT, K = 4, 3, 2
+N = WAY * SHOT
+CFG = AdaptationConfig(iterations=6, k_regions=K, jitter=0.0, embed_dim=16, seed=3)
+# Reordering rows reorders floating-point sums, which moves each result by a few
+# ulps; 2**20 ulps at 1.0 (about 2.3e-10) leaves room for that to grow over the
+# iterations and is far below any change in what is computed.
+TOL = 2.0**20 * np.finfo(np.float64).eps
+
+
+def run(doc):
+    episode = episode_from_dict(doc)
+    state = adapt_task(episode, CFG)
+    return state.final_image_weights, predict(episode, state)
+
+
+@pytest.fixture(scope="module")
+def base():
+    episode = generate_synthetic_episode(
+        WAY, SHOT, K, 12, SyntheticNoiseConfig(label_noise_ratio=0.25), seed=21, query_shot=6
+    )
+    doc = episode.to_dict()
+    return doc, *run(doc)
+
+
+@settings(max_examples=15)
+@given(
+    order=st.permutations(range(N)),
+    ids=st.lists(st.integers(0, 10**6), min_size=N, max_size=N, unique=True),
+)
+def test_support_order_and_ids_leave_omega_and_predictions(base, order, ids):
+    doc, omega, pred = base
+    support = [dict(doc["support"][p], id=ids[p]) for p in order]
+    new_omega, new_pred = run({**doc, "support": support})
+    for p, entry in enumerate(doc["support"]):
+        assert abs(new_omega[ids[p]] - omega[entry["id"]]) <= TOL
+    assert np.array_equal(new_pred, pred)
+
+
+@settings(max_examples=15)
+@given(perm=st.permutations(range(WAY)))
+def test_class_relabeling_permutes_predictions(base, perm):
+    doc, _, pred = base
+    support = [dict(entry, label=perm[entry["label"]]) for entry in doc["support"]]
+    queries = [dict(entry, label=perm[entry["label"]]) for entry in doc["queries"]]
+    _, new_pred = run({**doc, "support": support, "queries": queries})
+    assert np.array_equal(new_pred, np.array(perm)[pred])

@@ -8,12 +8,11 @@ from deta.relevance import (
     RegionIndex,
     RegionWeightTable,
     accumulate_image_weights,
-    build_region_sets,
+    mean_relevance,
     region_weights,
-    relevance_scores,
     uniform_weight_table,
 )
-from oracles import brute_region_weights
+from oracles import brute_region_weights, region_rows
 
 
 def grid_regions(n_classes, samples_per_class, k, dim=6, seed=0):
@@ -28,168 +27,170 @@ def grid_regions(n_classes, samples_per_class, k, dim=6, seed=0):
     return regions
 
 
+def weights_by_key(regions, **kw):
+    """region_weights on regions named by RegionIndex, with the table's rows named back."""
+    keys, feats, sample_of, class_of = region_rows(regions)
+    table = region_weights(feats, sample_of, class_of, **kw)
+    return table, {key: row for row, key in enumerate(keys)}
+
+
+def relevance(features, sample_ids, class_of):
+    """mean_relevance on rows given as sample positions and per-sample classes."""
+    return mean_relevance(np.asarray(features, dtype=float), np.asarray(sample_ids), np.asarray(class_of))
+
+
 class TestBuildRegionSets:
+    """In-class and out-of-class pools, seen through the mean relevance they produce."""
+
     def test_two_by_two_by_two_counts(self):
-        sets = build_region_sets(grid_regions(2, 2, 2))
-        for in_set, out_set in sets.values():
-            assert len(in_set) == 2
-            assert len(out_set) == 4
+        # Every region points along u except one region of sample 1 (class 0) and one of
+        # sample 2 (class 1), which are orthogonal: a mean over m pool members with one
+        # orthogonal member is (m - 1) / m, which reveals the pool size.
+        u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        feats = [u, u, u, v, v, u, u, u]
+        phi, psi = relevance(feats, np.repeat(np.arange(4), 2), [0, 0, 1, 1])
+        assert phi[0] == pytest.approx(1.0 / 2.0, abs=1e-15)  # in-set: both regions of sample 1
+        assert psi[0] == pytest.approx(3.0 / 4.0, abs=1e-15)  # out-set: all 4 class-1 regions
+        _, feats_arr, sample_of, class_of = region_rows(grid_regions(2, 2, 2))
+        phi, psi = mean_relevance(feats_arr, sample_of, class_of)
+        expected = brute_region_weights(feats_arr, sample_of, class_of)
+        assert np.allclose(phi, expected["phi"], atol=1e-12)
+        assert np.allclose(psi, expected["psi"], atol=1e-12)
 
     def test_single_sample_class_has_empty_in_set(self):
-        regions = grid_regions(2, 1, 2)
-        sets = build_region_sets(regions)
-        for key, (in_set, out_set) in sets.items():
-            assert in_set == []
-            assert len(out_set) == 2
+        _, feats, sample_of, class_of = region_rows(grid_regions(2, 1, 2))
+        phi, psi = mean_relevance(feats, sample_of, class_of)
+        assert np.all(phi == 0.0)
+        assert np.allclose(psi, brute_region_weights(feats, sample_of, class_of)["psi"], atol=1e-12)
 
     def test_k_one_in_set_size(self):
-        sets = build_region_sets(grid_regions(3, 4, 1))
-        for in_set, _ in sets.values():
-            assert len(in_set) == 3  # one region per other same-class sample
+        # one region per other same-class sample: 3 in-set members, one of them orthogonal
+        u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        feats = [u, u, u, v] + [u] * 8
+        phi, _ = relevance(feats, np.arange(12), np.repeat(np.arange(3), 4))
+        assert phi[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 class TestRelevanceScores:
+    """mean_relevance on hand-made pools; the region of interest is row 0."""
+
     def test_identical_single_member(self):
         region = np.array([3.0, 4.0])
-        phi, _ = relevance_scores(region, [region.copy()], [np.array([0.5, -1.0])])
-        assert phi == 1.0
+        phi, _ = relevance([region, region.copy(), [0.5, -1.0]], [0, 1, 2], [0, 0, 1])
+        assert phi[0] == 1.0
 
     def test_mean_of_similarities(self):
-        region = np.array([1.0, 0.0])
-        in_set = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        phi, _ = relevance_scores(region, in_set, [np.array([1.0, 1.0])])
-        assert phi == 0.5
+        feats = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        phi, _ = relevance(feats, [0, 1, 2, 3], [0, 0, 0, 1])
+        assert phi[0] == 0.5
 
     def test_orthogonal_out_set(self):
-        region = np.array([1.0, 0.0, 0.0])
-        out = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 2.0])]
-        _, psi = relevance_scores(region, [], out)
-        assert psi == 0.0
+        feats = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+        _, psi = relevance(feats, [0, 1, 2], [0, 1, 1])
+        assert psi[0] == 0.0
 
     def test_empty_in_set_scores_zero(self):
-        phi, _ = relevance_scores(np.array([1.0, 0.0]), [], [np.array([0.0, 1.0])])
-        assert phi == 0.0
+        phi, _ = relevance([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0, 1])
+        assert phi[0] == 0.0
 
     def test_empty_out_set_rejected(self):
         with pytest.raises(InvalidParameterError):
-            relevance_scores(np.array([1.0, 0.0]), [np.array([1.0, 0.0])], [])
+            relevance([[1.0, 0.0], [1.0, 0.0]], [0, 1], [0, 0])
 
     def test_zero_norm_member(self):
         with pytest.raises(DegenerateVectorError):
-            relevance_scores(np.array([1.0, 0.0]), [np.array([0.0, 0.0])], [np.array([1.0, 1.0])])
+            relevance([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [0, 1, 2], [0, 0, 1])
 
 
 class TestRegionWeights:
     def test_symmetric_instance_gives_unit_weights(self):
         # identical regions inside each class, orthogonal class directions
-        regions = {}
-        for c, axis in enumerate((0, 1)):
-            base = np.zeros(4)
-            base[axis] = 1.0
-            for sid_off in range(2):
-                for slot in range(2):
-                    regions[RegionIndex(2 * c + sid_off, slot, c)] = base.copy()
-        table = region_weights(regions)
-        for lam in table.weights.values():
-            assert abs(lam - 1.0) < 1e-12
+        feats = np.repeat(np.eye(4)[:2], 4, axis=0)
+        table = region_weights(feats, np.repeat(np.arange(4), 2), np.array([0, 0, 1, 1]))
+        assert np.all(np.abs(table.weights - 1.0) < 1e-12)
         table.validate()
 
     def test_matches_brute_force(self):
         for seed in range(5):
-            regions = grid_regions(3, 2, 2, dim=5, seed=seed)
-            table = region_weights(regions)
-            expected = brute_region_weights(regions)
-            for key in regions:
-                assert abs(table.weights[key] - expected["lam"][key]) < 1e-9
-                assert abs(table.per_class_phi[key] - expected["phi_norm"][key]) < 1e-9
-                assert abs(table.per_class_psi[key] - expected["psi_norm"][key]) < 1e-9
+            _, feats, sample_of, class_of = region_rows(grid_regions(3, 2, 2, dim=5, seed=seed))
+            table = region_weights(feats, sample_of, class_of)
+            expected = brute_region_weights(feats, sample_of, class_of)
+            assert np.all(np.abs(table.weights - expected["lam"]) < 1e-9)
+            assert np.all(np.abs(table.per_class_phi - expected["phi_norm"]) < 1e-9)
+            assert np.all(np.abs(table.per_class_psi - expected["psi_norm"]) < 1e-9)
 
     def test_permutation_equivariance(self):
         regions = grid_regions(2, 3, 2, seed=3)
-        table = region_weights(regions)
+        table, row = weights_by_key(regions)
         remap = {0: 4, 1: 3, 2: 5, 3: 0, 4: 2, 5: 1}
         permuted = {
             RegionIndex(remap[k.sample_id], k.region_slot, k.class_id): v
             for k, v in regions.items()
         }
-        permuted_table = region_weights(permuted)
-        for key, lam in table.weights.items():
+        permuted_table, permuted_row = weights_by_key(permuted)
+        for key in regions:
             moved = RegionIndex(remap[key.sample_id], key.region_slot, key.class_id)
-            assert permuted_table.weights[moved] == pytest.approx(lam, abs=1e-12)
-
-    def test_positive_scale_invariance(self):
-        regions = grid_regions(2, 2, 2, seed=4)
-        scaled = dict(regions)
-        for key in list(scaled):
-            if key.sample_id == 1:
-                scaled[key] = 17.5 * scaled[key]
-        base = region_weights(regions)
-        after = region_weights(scaled)
-        for key in regions:
-            assert abs(base.weights[key] - after.weights[key]) < 1e-9
-
-    def test_single_sample_class_uniform_phi(self):
-        regions = grid_regions(2, 1, 3, seed=5)
-        table = region_weights(regions)
-        for key, phi in table.per_class_phi.items():
-            assert phi == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_single_class_rejected(self):
-        regions = {RegionIndex(0, 0, 0): np.ones(3), RegionIndex(1, 0, 0): np.ones(3)}
-        with pytest.raises(InvalidParameterError):
-            region_weights(regions)
-
-    def test_zero_norm_region_rejected(self):
-        regions = grid_regions(2, 2, 1, seed=6)
-        regions[RegionIndex(0, 0, 0)] = np.zeros(6)
-        with pytest.raises(DegenerateVectorError):
-            region_weights(regions)
-
-    def test_without_out_of_class_term(self):
-        regions = grid_regions(2, 2, 2, seed=7)
-        table = region_weights(regions, use_out_of_class=False)
-        table.validate()
-        expected = brute_region_weights(regions)
-        for key in regions:
-            n_class = 4
-            assert table.weights[key] == pytest.approx(
-                expected["phi_norm"][key] * n_class, abs=1e-9
+            assert permuted_table.weights[permuted_row[moved]] == pytest.approx(
+                table.weights[row[key]], abs=1e-12
             )
 
-    def test_table_invariants(self):
-        table = region_weights(grid_regions(3, 3, 2, seed=8))
+    def test_positive_scale_invariance(self):
+        _, feats, sample_of, class_of = region_rows(grid_regions(2, 2, 2, seed=4))
+        scaled = feats.copy()
+        scaled[sample_of == 1] *= 17.5
+        base = region_weights(feats, sample_of, class_of)
+        after = region_weights(scaled, sample_of, class_of)
+        assert np.all(np.abs(base.weights - after.weights) < 1e-9)
+
+    def test_single_sample_class_uniform_phi(self):
+        _, feats, sample_of, class_of = region_rows(grid_regions(2, 1, 3, seed=5))
+        table = region_weights(feats, sample_of, class_of)
+        assert np.allclose(table.per_class_phi, 1.0 / 3.0, rtol=0, atol=1e-12)
+
+    def test_single_class_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            region_weights(np.ones((2, 3)), np.array([0, 1]), np.array([0, 0]))
+
+    def test_zero_norm_region_rejected(self):
+        _, feats, sample_of, class_of = region_rows(grid_regions(2, 2, 1, seed=6))
+        feats[0] = 0.0
+        with pytest.raises(DegenerateVectorError):
+            region_weights(feats, sample_of, class_of)
+
+    def test_without_out_of_class_term(self):
+        _, feats, sample_of, class_of = region_rows(grid_regions(2, 2, 2, seed=7))
+        table = region_weights(feats, sample_of, class_of, use_out_of_class=False)
         table.validate()
-        by_class = {}
-        for key, phi in table.per_class_phi.items():
-            by_class.setdefault(key.class_id, 0.0)
-            by_class[key.class_id] += phi
-        for total in by_class.values():
-            assert abs(total - 1.0) < 1e-9
+        expected = brute_region_weights(feats, sample_of, class_of)
+        n_class = 4
+        assert np.allclose(table.weights, np.array(expected["phi_norm"]) * n_class, rtol=0, atol=1e-9)
+
+    def test_table_invariants(self):
+        _, feats, sample_of, class_of = region_rows(grid_regions(3, 3, 2, seed=8))
+        table = region_weights(feats, sample_of, class_of)
+        table.validate()
+        per_class = np.bincount(class_of[sample_of], weights=table.per_class_phi)
+        assert np.all(np.abs(per_class - 1.0) < 1e-9)
 
     def test_pure_function_no_state(self):
-        regions = grid_regions(2, 2, 2, seed=9)
-        first = region_weights(regions)
-        second = region_weights(regions)
-        assert first.weights == second.weights
+        _, feats, sample_of, class_of = region_rows(grid_regions(2, 2, 2, seed=9))
+        first = region_weights(feats, sample_of, class_of)
+        second = region_weights(feats, sample_of, class_of)
+        assert np.array_equal(first.weights, second.weights)
 
     def test_uniform_table(self):
-        table = uniform_weight_table(grid_regions(2, 2, 2))
-        assert all(w == 1.0 for w in table.weights.values())
+        _, _, sample_of, class_of = region_rows(grid_regions(2, 2, 2))
+        table = uniform_weight_table(sample_of, class_of)
+        assert np.all(table.weights == 1.0)
         table.validate()
 
 
 class TestAccumulator:
     def _table(self, means: dict[int, tuple[float, ...]]) -> RegionWeightTable:
-        weights = {}
-        phi = {}
-        psi = {}
-        for sid, lams in means.items():
-            for slot, lam in enumerate(lams):
-                key = RegionIndex(sid, slot, 0)
-                weights[key] = lam
-                phi[key] = 1.0
-                psi[key] = 1.0
-        return RegionWeightTable(weights=weights, per_class_phi=phi, per_class_psi=psi)
+        lams = [lam for sid in sorted(means) for lam in means[sid]]
+        sample_of = np.array([sid for sid in sorted(means) for _ in means[sid]])
+        ones = np.ones(len(lams))
+        return RegionWeightTable(np.array(lams), ones, ones, sample_of, np.zeros(len(means), dtype=int))
 
     def test_first_update_is_mean(self):
         acc = accumulate_image_weights(ImageWeightAccumulator(), self._table({0: (0.4, 0.6)}))
@@ -197,7 +198,7 @@ class TestAccumulator:
         assert acc.iteration == 1
 
     def test_second_update_blends(self):
-        acc = ImageWeightAccumulator(momentum=0.7, omega={0: 0.5}, iteration=1)
+        acc = ImageWeightAccumulator(momentum=0.7, omega=np.array([0.5]), iteration=1)
         acc = accumulate_image_weights(acc, self._table({0: (1.0, 1.0)}))
         assert acc.omega[0] == pytest.approx(0.65, abs=1e-15)
         assert acc.iteration == 2
@@ -243,18 +244,15 @@ class TestNoiseSeparation:
             ep = generate_synthetic_episode(
                 5, 10, 2, 64, SyntheticNoiseConfig(label_noise_ratio=0.3), seed=5000 + i
             )
-            labels = ep.labels()
+            class_of = np.array([s.label for s in ep.support])
+            sample_of = np.repeat(np.arange(ep.n_support), 2)
             acc = ImageWeightAccumulator(momentum=0.7)
             for t in range(10):
                 drawn = resample_regions(ep, 2, jitter=0.0, seed=97 * i + t)
-                regions = {
-                    RegionIndex(sid, slot, labels[sid]): drawn[sid][slot]
-                    for sid in drawn
-                    for slot in range(2)
-                }
-                acc = accumulate_image_weights(acc, region_weights(regions))
-            tags = ep.noise_tags()
-            clean = [acc.omega[s] for s, tag in tags.items() if tag == "clean"]
-            noisy = [acc.omega[s] for s, tag in tags.items() if tag == "label_noisy"]
+                table = region_weights(drawn.reshape(-1, ep.feature_dim), sample_of, class_of)
+                acc = accumulate_image_weights(acc, table)
+            tags = [s.noise_tag for s in ep.support]
+            clean = [w for w, tag in zip(acc.omega, tags) if tag == "clean"]
+            noisy = [w for w, tag in zip(acc.omega, tags) if tag == "label_noisy"]
             hits += int(np.mean(clean) > np.mean(noisy))
         assert hits >= 95
