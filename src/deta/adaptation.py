@@ -261,8 +261,11 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     """Run the full adaptation loop on one episode.
 
     Deterministic for a fixed (episode, config) pair. Raises DivergenceError,
-    tagged with the failing iteration, if any loss or gradient turns
-    non-finite. Every per-iteration array follows support order, with the k
+    tagged with the failing iteration, if an adapter output, the loss or a
+    gradient turns non-finite or, once the parameters have been updated, a
+    vector that needs a direction collapses to zero norm. A zero-norm vector
+    under the initial parameters is the input's fault and raises
+    DegenerateVectorError. Every per-iteration array follows support order, with the k
     regions of each sample in consecutive rows.
     """
     d = episode.feature_dim
@@ -293,28 +296,35 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
 
         a_img = forward_features(adapter, x_img)
         a_reg = forward_features(adapter, x_reg)
+        if not (np.all(np.isfinite(a_img)) and np.all(np.isfinite(a_reg))):
+            raise DivergenceError("non-finite adapter output", iteration=t)
 
-        table: RegionWeightTable = (
-            region_weights(a_reg, sample_of, class_of, use_out_of_class=ab.out_of_class_term)
-            if ab.cora
-            else uniform_weight_table(sample_of, class_of)
-        )
-        acc = accumulate_image_weights(acc, table)
-        instantaneous = table.sample_means()
-        omega_used = acc.omega if ab.accumulator else instantaneous
+        try:
+            table: RegionWeightTable = (
+                region_weights(a_reg, sample_of, class_of, use_out_of_class=ab.out_of_class_term)
+                if ab.cora
+                else uniform_weight_table(sample_of, class_of)
+            )
+            acc = accumulate_image_weights(acc, table)
+            instantaneous = table.sample_means()
+            omega_used = acc.omega if ab.accumulator else instantaneous
 
-        e_img, img_cache = head_forward(head, a_img)
-        e_reg, reg_cache = head_forward(head, a_reg)
-        batch = EmbeddingBatch(e_img, e_reg, sample_of, class_of, embed_dim=cfg.embed_dim)
+            e_img, img_cache = head_forward(head, a_img)
+            e_reg, reg_cache = head_forward(head, a_reg)
+            batch = EmbeddingBatch(e_img, e_reg, sample_of, class_of, embed_dim=cfg.embed_dim)
 
-        loss = combined_loss(
-            batch,
-            table.weights,
-            omega_used,
-            cfg.hp,
-            include_local=ab.local_loss,
-            include_global=ab.global_loss,
-        )
+            loss = combined_loss(
+                batch,
+                table.weights,
+                omega_used,
+                cfg.hp,
+                include_local=ab.local_loss,
+                include_global=ab.global_loss,
+            )
+        except DegenerateVectorError as exc:
+            if t == 1 or not train:
+                raise  # the parameters are still the initial ones, so the input is at fault
+            raise DivergenceError(str(exc), iteration=t) from exc
         if not np.isfinite(loss.combined):
             raise DivergenceError(f"non-finite loss {loss.combined}", iteration=t)
         loss_trace.append(LossSummary(t, loss.l_local, loss.l_global, loss.combined))

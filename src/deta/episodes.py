@@ -401,21 +401,21 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
         raise InvalidParameterError("jitter must be non-negative")
     rng = np.random.default_rng(seed)
     d = episode.feature_dim
-    out = np.empty((episode.n_support, k, d))
 
     if episode.source is not None:
         src = episode.source
         scale = src.crop_jitter * src.sigma
+        if all(s.region_features.shape[0] == k for s in episode.support):
+            # The generator fills its output in order, so one draw equals the per-sample draws.
+            anchors = np.stack([s.region_features for s in episode.support])
+            return anchors + scale * rng.standard_normal((episode.n_support, k, d))
+        out = np.empty((episode.n_support, k, d))
         for pos, s in enumerate(episode.support):
             anchors = s.region_features
             k_stored = anchors.shape[0]
-            if k <= k_stored:
-                if k == k_stored:
-                    picked = anchors
-                else:
-                    idx = np.sort(rng.choice(k_stored, size=k, replace=False))
-                    picked = anchors[idx]
-                out[pos] = picked + scale * rng.standard_normal((k, d))
+            if k < k_stored:
+                idx = np.sort(rng.choice(k_stored, size=k, replace=False))
+                out[pos] = anchors[idx] + scale * rng.standard_normal((k, d))
             else:
                 mean = src.class_means[s.ground_truth_label]
                 regions = mean + src.sigma * rng.standard_normal((k, d))
@@ -429,6 +429,7 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
                 out[pos] = regions
         return out
 
+    out = np.empty((episode.n_support, k, d))
     for pos, s in enumerate(episode.support):
         stored = s.region_features
         if stored.shape[0] < k:
@@ -455,12 +456,19 @@ def _require_keys(obj: dict, keys: set[str], where: str):
         raise SchemaError(f"{where}: " + ", ".join(parts))
 
 
+_NUMBER_TYPES = {int, float}  # the types json.loads gives numbers; bool is a type of its own
+
+
 def _as_feature(values, d: int, where: str) -> np.ndarray:
-    if not isinstance(values, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+    if not isinstance(values, list) or not (
+        set(map(type, values)) <= _NUMBER_TYPES
+        or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
     ):
         raise SchemaError(f"{where}: feature must be a list of numbers")
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: feature value out of float range ({exc})") from exc
     if arr.shape != (d,):
         raise SchemaError(f"{where}: expected dimension {d}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
@@ -469,7 +477,11 @@ def _as_feature(values, d: int, where: str) -> np.ndarray:
 
 
 def episode_from_dict(doc: dict) -> TaskEpisode:
-    """Validate a wire-format dict and build the episode."""
+    """Validate a wire-format dict and build the episode.
+
+    Feature values must be ints or floats that are finite as doubles.
+    Subclasses such as numpy.float64 pass; bools do not.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("episode document must be a JSON object")
     _require_keys(doc, {"version", "feature_dim", "way", "support", "queries"}, "episode")
@@ -562,7 +574,10 @@ def episode_from_dict(doc: dict) -> TaskEpisode:
 def load_episode_file(path) -> TaskEpisode:
     """Load and validate an episode from a UTF-8 JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVectorError, InvalidParameterError, MissingWeightError
-from .numerics import check_finite, segment_mean
+from .numerics import check_finite, segment_mean, segment_sum
 
 
 @dataclass(frozen=True)
@@ -88,38 +88,43 @@ def local_compactness_loss(
     pairs; classes with fewer than two regions contribute neither pairs nor
     normalizer mass. A region is never its own partner. Returns the value and
     its gradient per region embedding row.
+
+    With weighted embeddings w_r and per-class sums W_c, the same-class pair
+    similarities of row r add up to w_r . (W_c(r) - w_r) / tau, so no pair
+    mask is built. One exp pass over the similarity matrix (diagonal masked)
+    gives both the log-sum-exp and the row softmax P, and the gradient with
+    respect to w is ((P + P^T) w - 2 (W_c(r) - w_r)) / (tau * normalizer),
+    with P's rows scaled by the partner counts.
     """
     if tau <= 0.0:
         raise InvalidParameterError("tau must be positive")
     mat = np.asarray(batch.region_embeddings, dtype=np.float64)
-    n = len(mat)
-    lam = _per_row(weights, n, "region weights")
-    zero = np.zeros_like(mat)
-    if n < 2:
-        return 0.0, zero
-
+    lam = _per_row(weights, len(mat), "region weights")
     class_ids = batch.class_of[batch.sample_of]
-    same = class_ids[:, None] == class_ids[None, :]
-    np.fill_diagonal(same, False)
-    partners = same.sum(axis=1)
-
-    _, counts = np.unique(class_ids, return_counts=True)
+    counts = np.bincount(class_ids)
     normalizer = float(np.sum(counts * (counts - 1) / 2.0))
     if normalizer == 0.0:
-        return 0.0, zero
+        return 0.0, np.zeros_like(mat)
+
+    partners = counts[class_ids] - 1
 
     w = lam[:, None] * mat
-    s = (w @ w.T) / tau
-    masked = s.copy()
-    np.fill_diagonal(masked, -np.inf)
-    row_max = masked.max(axis=1)
-    lse = row_max + np.log(np.exp(masked - row_max[:, None]).sum(axis=1))
+    same_sum = segment_sum(w, class_ids, len(counts))[class_ids] - w  # (W_c(r) - w_r)
+    s = w @ w.T
+    s /= tau
+    np.fill_diagonal(s, -np.inf)
+    row_max = s.max(axis=1)
+    s -= row_max[:, None]
+    ex = np.exp(s, out=s)  # the one exp pass, in place
+    row_sum = ex.sum(axis=1)
+    lse = row_max + np.log(row_sum)
 
-    value = float((-(s[same]).sum() + (partners * lse).sum()) / normalizer)
+    pair_sum = float(np.einsum("ij,ij->", w, same_sum)) / tau
+    value = float((-pair_sum + (partners * lse).sum()) / normalizer)
 
-    prob = np.exp(masked - lse[:, None])
-    g = (-same.astype(np.float64) + partners[:, None] * prob) / normalizer
-    grad_w = ((g + g.T) @ w) / tau
+    ex *= (partners / row_sum)[:, None]  # P
+    ex += ex.T  # P + P^T
+    grad_w = (ex @ w - 2.0 * same_sum) / (tau * normalizer)
     return value, lam[:, None] * grad_w
 
 

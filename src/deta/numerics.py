@@ -54,11 +54,13 @@ def l2_normalize(v) -> np.ndarray:
     return vec / n
 
 
-def softmax(scores, temperature: float = 1.0) -> np.ndarray:
-    """Stable softmax of scores/temperature.
+def softmax(scores, temperature: float = 1.0, segment_of=None) -> np.ndarray:
+    """Stable softmax of scores/temperature, over all scores or within each segment.
 
-    Invariant under adding a constant to all scores; output entries are
-    positive and sum to one.
+    With segment_of, score i belongs to segment segment_of[i] (non-negative
+    ints) and each segment is normalized on its own, as one softmax call per
+    segment would do. Invariant under adding a constant to all scores of a
+    segment; output entries are positive and sum to one per segment.
     """
     if temperature <= 0.0 or not np.isfinite(temperature):
         raise InvalidParameterError(f"temperature must be positive, got {temperature}")
@@ -66,9 +68,25 @@ def softmax(scores, temperature: float = 1.0) -> np.ndarray:
     if s.size < 1:
         raise InvalidParameterError("softmax requires at least one score")
     z = s / temperature
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / e.sum()
+    seg = np.zeros(s.shape, dtype=np.intp) if segment_of is None else np.asarray(segment_of)
+    if seg.shape != s.shape:
+        raise InvalidParameterError(f"segment_of has shape {seg.shape}, scores {s.shape}")
+    seg_max = np.full(seg.max() + 1, -np.inf)
+    np.maximum.at(seg_max, seg, z)
+    e = np.exp(z - seg_max[seg])
+    return e / np.bincount(seg, weights=e)[seg]
+
+
+def segment_sum(rows, segment_of, n_segments: int) -> np.ndarray:
+    """Per segment, the sum of its rows, as an (n_segments, d) array.
+
+    Row i belongs to segment segment_of[i] in [0, n_segments); rows are added
+    in row order and a segment without members sums to zero. Costs O(r*d).
+    """
+    mat = np.asarray(rows, dtype=np.float64)
+    d = mat.shape[1]
+    flat = (np.asarray(segment_of)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=mat.ravel(), minlength=n_segments * d).reshape(n_segments, d)
 
 
 def segment_mean(rows, segment_of, n_segments: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -78,13 +96,13 @@ def segment_mean(rows, segment_of, n_segments: int, weights=None) -> tuple[np.nd
     (n_segments, d) means and the member counts. No renormalization is
     applied, so weights scale the means. Every segment needs a member.
     """
-    member = (np.arange(n_segments)[:, None] == np.asarray(segment_of)[None, :]).astype(np.float64)
-    counts = member.sum(axis=1)
+    counts = np.bincount(segment_of, minlength=n_segments)
     if np.any(counts == 0):
         raise EmptyClassError(f"segments without members: {np.flatnonzero(counts == 0).tolist()}")
+    mat = np.asarray(rows, dtype=np.float64)
     if weights is not None:
-        member = member * np.asarray(weights, dtype=np.float64)[None, :]
-    return member @ np.asarray(rows, dtype=np.float64) / counts[:, None], counts
+        mat = np.asarray(weights, dtype=np.float64)[:, None] * mat
+    return segment_sum(mat, segment_of, n_segments) / counts[:, None], counts
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     MissingWeightError,
 )
-from .numerics import softmax
+from .numerics import segment_sum, softmax
 
 
 @dataclass(frozen=True, order=True)
@@ -76,6 +76,11 @@ def mean_relevance(features, sample_of, class_of) -> tuple[np.ndarray, np.ndarra
     samples (a sample's own regions cannot dominate the average); it scores
     zero when empty. The out-of-class pool holds every region of every other
     class, so at least two classes are required.
+
+    No region-by-region similarity matrix is built: with unit rows u and the
+    per-class, per-sample and total sums S of u, each cosine row sum over a
+    pool is the dot product of u_r with the sum of that pool, so the cost is
+    O(r*e). The cosines are not clipped to [-1, 1].
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:
@@ -91,16 +96,18 @@ def mean_relevance(features, sample_of, class_of) -> tuple[np.ndarray, np.ndarra
         raise InvalidParameterError("relevance weighting requires at least 2 classes")
 
     unit = feats / norms[:, None]
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    same_class = class_ids[:, None] == class_ids[None, :]
-    same_sample = sample_ids[:, None] == sample_ids[None, :]
-    class_row_sum = np.where(same_class, cos, 0.0).sum(axis=1)
-    sample_row_sum = np.where(same_sample, cos, 0.0).sum(axis=1)
-    n_class = same_class.sum(axis=1)
 
-    in_count = n_class - same_sample.sum(axis=1)
+    def row_sums(segment):  # per row, the sum of its cosines to every row of its segment
+        return np.einsum("ij,ij->i", unit, segment_sum(unit, segment, segment.max() + 1)[segment])
+
+    class_row_sum = row_sums(class_ids)
+    sample_row_sum = row_sums(sample_ids)
+    total_row_sum = unit @ unit.sum(axis=0)
+    n_class = np.bincount(class_ids)[class_ids]
+
+    in_count = n_class - np.bincount(sample_ids)[sample_ids]
     phi = np.where(in_count > 0, (class_row_sum - sample_row_sum) / np.maximum(in_count, 1), 0.0)
-    psi = (cos.sum(axis=1) - class_row_sum) / (len(feats) - n_class)
+    psi = (total_row_sum - class_row_sum) / (len(feats) - n_class)
     return phi, psi
 
 
@@ -114,15 +121,11 @@ def region_weights(features, sample_of, class_of, use_out_of_class: bool = True)
     """
     phi, psi = mean_relevance(features, sample_of, class_of)
     class_ids = np.asarray(class_of)[sample_of]
-    phi_norm = np.empty_like(phi)
-    psi_norm = np.empty_like(psi)
-    for cid in np.unique(class_ids):
-        member_pos = np.flatnonzero(class_ids == cid)
-        phi_norm[member_pos] = softmax(phi[member_pos])
-        if use_out_of_class:
-            psi_norm[member_pos] = softmax(psi[member_pos])
-        else:
-            psi_norm[member_pos] = 1.0 / member_pos.size
+    phi_norm = softmax(phi, segment_of=class_ids)
+    if use_out_of_class:
+        psi_norm = softmax(psi, segment_of=class_ids)
+    else:
+        psi_norm = 1.0 / np.bincount(class_ids)[class_ids]
     return RegionWeightTable(phi_norm / psi_norm, phi_norm, psi_norm, sample_of, class_of)
 
 

@@ -123,6 +123,17 @@ def brute_global_loss(regions, weights, images, omega, sample_of, class_of, pi: 
     return total / len(regions)
 
 
+def per_sample_synthetic_redraw(episode, k: int, seed: int) -> np.ndarray:
+    """Redraw of a synthetic episode whose samples all store k regions, one
+    generator call per support sample in support order."""
+    rng = np.random.default_rng(seed)
+    scale = episode.source.crop_jitter * episode.source.sigma
+    out = np.empty((episode.n_support, k, episode.feature_dim))
+    for pos, s in enumerate(episode.support):
+        out[pos] = s.region_features + scale * rng.standard_normal((k, episode.feature_dim))
+    return out
+
+
 def fd_matches(f, params, analytic, cfg: GradCheckConfig = GradCheckConfig()) -> tuple[bool, float]:
     """Compare an analytic gradient against the central-difference oracle.
 

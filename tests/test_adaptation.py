@@ -195,6 +195,36 @@ class TestAdaptTask:
         assert state.loss_trace[0].combined == pytest.approx(2.417485563080197, rel=1e-9)
         assert state.loss_trace[-1].combined == pytest.approx(0.8311171119283121, rel=1e-9)
 
+    def test_wide_loss_trace_regression_goldens(self):
+        # 400 regions per iteration, where relevance and the local loss do most of the work
+        ep = generate_synthetic_episode(
+            10, 10, 4, 128, SyntheticNoiseConfig(image_noise_ratio=0.3), seed=42
+        )
+        state = adapt_task(ep, AdaptationConfig(k_regions=4, seed=42))
+        assert state.loss_trace[0].combined == pytest.approx(3.276708615303429, rel=1e-9)
+        assert state.loss_trace[-1].combined == pytest.approx(1.158193098116305, rel=1e-9)
+
+    def test_zero_norm_vector_is_divergence_at_its_iteration(self):
+        # the first step overshoots and the next iteration meets a zero-norm prototype
+        with pytest.raises(DivergenceError, match="zero norm") as exc:
+            adapt_task(small_episode(), fast_cfg(learning_rate=1e100))
+        assert exc.value.iteration == 2
+
+    def test_non_finite_adapter_output_is_divergence_at_its_iteration(self, monkeypatch):
+        import deta.adaptation as adaptation_module
+
+        calls = []
+
+        def overflowing(adapter, raw):
+            calls.append(1)
+            out = forward_features(adapter, raw)
+            return out * np.inf if len(calls) > 2 else out
+
+        monkeypatch.setattr(adaptation_module, "forward_features", overflowing)
+        with pytest.raises(DivergenceError, match="adapter output") as exc:
+            adapt_task(small_episode(), fast_cfg())
+        assert exc.value.iteration == 2
+
     def test_deterministic_state(self):
         ep = small_episode(seed=5)
         cfg = fast_cfg(seed=11)

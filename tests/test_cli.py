@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from deta.cli import main
@@ -72,6 +73,34 @@ class TestAdapt:
         bad.write_text("{oops")
         code = run(["adapt", "--episode", str(bad), "--out", str(tmp_path / "s.json")])
         assert code == 2
+
+    def test_non_utf8_episode_file(self, tmp_path, capsys):
+        bad = tmp_path / "random.json"
+        bad.write_bytes(np.random.default_rng(0).bytes(100))
+        code = run(["adapt", "--episode", str(bad), "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "random.json: not UTF-8" in capsys.readouterr().err
+
+    def test_feature_integer_beyond_float_range(self, tmp_path, capsys, episode_file):
+        doc = json.loads(episode_file.read_text())
+        doc["support"][2]["regions"][1][0] = 10**400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["adapt", "--episode", str(bad), "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        sid = doc["support"][2]["id"]
+        assert f"support sample {sid}, region 1: feature value out of float range" in capsys.readouterr().err
+
+    def test_zero_region_row_is_an_input_error(self, tmp_path, capsys, episode_file):
+        doc = json.loads(episode_file.read_text())
+        doc["support"][0]["regions"][1] = [0.0] * doc["feature_dim"]
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(doc))
+        code = run(
+            ["adapt", "--episode", str(bad), "--out", str(tmp_path / "s.json"), "--jitter", "0"]
+        )
+        assert code == 2
+        assert "zero-norm region feature at row 1" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path, episode_file, monkeypatch):
         import deta.cli as cli_module
@@ -182,6 +211,15 @@ class TestBench:
         assert run(self._bench_args(out) + [flag, value]) == 2
         assert knob in capsys.readouterr().err
         assert not out.exists()
+
+    def test_blown_up_episodes_fail_alone(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        args = self._bench_args(out, fmt="json") + ["--lr", "1e100", "--iterations", "10"]
+        assert run(args) == 3
+        assert "(0 ok, 2 failed)" in capsys.readouterr().out
+        report = load_report_json(out)
+        assert [e.failed for e in report.episodes] == [True, True]
+        assert all(e.error.startswith("diverged at iteration") for e in report.episodes)
 
     def test_unknown_ablation_rejected_by_parser(self, tmp_path):
         args = self._bench_args(tmp_path / "r.csv") + ["--ablation", "bogus"]

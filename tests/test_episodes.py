@@ -14,12 +14,14 @@ from deta.episodes import (
     TaskEpisode,
     corrupt_labels,
     episode_bytes,
+    episode_from_dict,
     generate_synthetic_episode,
     load_episode_file,
     resample_regions,
     save_episode_file,
 )
 from deta.errors import InvalidParameterError, ParseError, SchemaError
+from oracles import per_sample_synthetic_redraw
 
 
 def make_episode(seed=0, **noise):
@@ -234,6 +236,31 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             load_episode_file(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("bad", [True, "1.0", None, [1.0]])
+    def test_non_number_feature_value_rejected(self, tmp_path, bad):
+        doc = self._valid_doc()
+        doc["support"][1]["regions"] = [[0.0, bad]]
+        with pytest.raises(SchemaError, match="sample 1, region 0: feature must be a list of numbers"):
+            load_episode_file(self._write(tmp_path, doc))
+
+    def test_number_subclasses_accepted_from_library_callers(self):
+        doc = self._valid_doc()
+        doc["support"][1]["regions"] = [[np.float64(0.0), np.float64(1.0)]]
+        ep = episode_from_dict(doc)
+        assert ep.support[1].region_features.tolist() == [[0.0, 1.0]]
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        doc = self._valid_doc()
+        doc["support"][1]["image_feature"] = [0, 10**400]
+        with pytest.raises(SchemaError, match="support sample 1: feature value out of float range"):
+            load_episode_file(self._write(tmp_path, doc))
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(bytes(range(128, 228)))
+        with pytest.raises(ParseError, match="binary.json: not UTF-8"):
+            load_episode_file(path)
+
     def test_non_finite_constant_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
         text = json.dumps(self._valid_doc()).replace("1.0", "NaN", 1)
@@ -284,6 +311,15 @@ class TestResampleRegions:
         c = resample_regions(ep, 2, jitter=0.0, seed=124)
         assert np.array_equal(a, b)
         assert any(not np.array_equal(ra, rc) for ra, rc in zip(a, c))
+
+    @pytest.mark.parametrize("k,seed", [(2, 0), (2, 9), (1, 4), (4, 17)])
+    def test_synthetic_stored_k_matches_per_sample_draws(self, k, seed):
+        ep = generate_synthetic_episode(
+            4, 3, k, 16, SyntheticNoiseConfig(image_noise_ratio=0.5), seed=seed, query_shot=1
+        )
+        for draw_seed in (0, 123, 2**63 + 5):
+            expected = per_sample_synthetic_redraw(ep, k, draw_seed)
+            assert np.array_equal(resample_regions(ep, k, jitter=0.0, seed=draw_seed), expected)
 
     def test_synthetic_supports_larger_k(self):
         ep = make_episode(seed=8)

@@ -1,4 +1,5 @@
-"""Metamorphic properties of the whole pipeline under relabelings of the support set.
+"""Metamorphic properties of the whole pipeline under relabelings of the support set,
+and of the region weights under rescaling of the region features.
 
 The episode is a loaded one (no generative source) whose support samples
 store exactly k regions, adapted with jitter 0: resampling then returns every
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from deta.adaptation import AdaptationConfig, adapt_task
 from deta.classifier import predict
 from deta.episodes import SyntheticNoiseConfig, episode_from_dict, generate_synthetic_episode
+from deta.relevance import region_weights
 
 WAY, SHOT, K = 4, 3, 2
 N = WAY * SHOT
@@ -61,3 +63,19 @@ def test_class_relabeling_permutes_predictions(base, perm):
     queries = [dict(entry, label=perm[entry["label"]]) for entry in doc["queries"]]
     _, new_pred = run({**doc, "support": support, "queries": queries})
     assert np.array_equal(new_pred, np.array(perm)[pred])
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**16),
+    scales=st.lists(st.floats(1e-3, 1e3), min_size=3 * 3 * 2, max_size=3 * 3 * 2),
+)
+def test_region_weights_ignore_positive_row_scaling(seed, scales):
+    # 3 classes x 3 samples x 2 regions: only the directions of the features matter
+    features = np.random.default_rng(seed).standard_normal((18, 5))
+    sample_of = np.repeat(np.arange(9), 2)
+    class_of = np.repeat(np.arange(3), 3)
+    base = region_weights(features, sample_of, class_of)
+    scaled = region_weights(np.array(scales)[:, None] * features, sample_of, class_of)
+    for field in ("weights", "per_class_phi", "per_class_psi"):
+        np.testing.assert_allclose(getattr(scaled, field), getattr(base, field), rtol=1e-12)

@@ -11,6 +11,7 @@ from deta.numerics import (
     cosine_similarity,
     finite_difference_gradient,
     l2_normalize,
+    segment_sum,
     softmax,
 )
 
@@ -111,6 +112,44 @@ class TestSoftmax:
     def test_empty_scores(self):
         with pytest.raises(InvalidParameterError):
             softmax(())
+
+
+class TestSegmentedSoftmax:
+    @given(
+        scores=st.lists(st.floats(-50, 50), min_size=1, max_size=24).map(np.array),
+        seed=st.integers(0, 2**16),
+        temp=st.sampled_from([0.07, 1.0, 3.0]),
+    )
+    def test_equals_per_segment_softmax(self, scores, seed, temp):
+        # segment ids with gaps and in no particular order; the per-segment sums
+        # may add in another order, so results agree to a few ulps (absolutely
+        # below the smallest normal double, where ulps are coarse)
+        segment_of = np.random.default_rng(seed).integers(0, 5, size=scores.size) * 2
+        out = softmax(scores, temperature=temp, segment_of=segment_of)
+        for seg in np.unique(segment_of):
+            members = segment_of == seg
+            np.testing.assert_allclose(
+                out[members],
+                softmax(scores[members], temperature=temp),
+                rtol=1e-13,
+                atol=np.finfo(np.float64).tiny,
+            )
+
+    def test_segment_shape_mismatch(self):
+        with pytest.raises(InvalidParameterError):
+            softmax((1.0, 2.0), segment_of=[0])
+
+
+class TestSegmentSum:
+    def test_sums_rows_and_leaves_empty_segments_zero(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        out = segment_sum(rows, [2, 0, 2, 0], 4)
+        assert out.tolist() == [
+            [3.0 + 9.0, 4.0 + 10.0, 5.0 + 11.0],
+            [0.0, 0.0, 0.0],
+            [0.0 + 6.0, 1.0 + 7.0, 2.0 + 8.0],
+            [0.0, 0.0, 0.0],
+        ]
 
 
 class TestL2Normalize:
