@@ -8,7 +8,6 @@ built from the adapted features.
 
 from .adaptation import AblationFlags, AdaptationConfig, AdaptedState, adapt_task
 from .classifier import (
-    PrototypeSet,
     build_classifier,
     classify,
     evaluate,
@@ -66,7 +65,7 @@ __all__ = [
     # adaptation
     "AblationFlags", "AdaptationConfig", "AdaptedState", "adapt_task",
     # inference
-    "PrototypeSet", "build_classifier", "classify", "evaluate", "plain_ncc_accuracy", "predict",
+    "build_classifier", "classify", "evaluate", "plain_ncc_accuracy", "predict",
     # episodes
     "QuerySample", "SupportSample", "SyntheticNoiseConfig", "TaskEpisode", "corrupt_labels",
     "generate_synthetic_episode", "load_episode_file", "resample_regions", "save_episode_file",

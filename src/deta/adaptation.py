@@ -112,14 +112,6 @@ def head_backward(
     return grads, d_x
 
 
-def project(head: ProjectionHead, feature: np.ndarray) -> np.ndarray:
-    """Unit embedding of a single feature vector or a batch of rows."""
-    x = np.asarray(feature, dtype=np.float64)
-    single = x.ndim == 1
-    out, _ = head_forward(head, x[None, :] if single else x)
-    return out[0] if single else out
-
-
 def sgd_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -257,6 +249,7 @@ def _rebuild(params: dict[str, np.ndarray]) -> tuple[AdapterParams, ProjectionHe
     return adapter, head
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     """Run the full adaptation loop on one episode.
 
@@ -266,7 +259,8 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     vector that needs a direction collapses to zero norm. A zero-norm vector
     under the initial parameters is the input's fault and raises
     DegenerateVectorError. Every per-iteration array follows support order, with the k
-    regions of each sample in consecutive rows.
+    regions of each sample in consecutive rows. Overflow and invalid-value
+    warnings are silenced: the explicit checks above report a blow-up.
     """
     d = episode.feature_dim
     k = cfg.k_regions

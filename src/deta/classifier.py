@@ -8,8 +8,6 @@ lowest class id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adaptation import AdaptedState, forward_features
@@ -18,15 +16,8 @@ from .errors import DegenerateVectorError, EmptyClassError, InvalidParameterErro
 from .numerics import segment_mean
 
 
-@dataclass
-class PrototypeSet:
-    """Per-class centroids; row c is the centroid of class c."""
-
-    centroids: np.ndarray  # (way, d)
-
-
-def build_classifier(features, class_of, omega, way: int | None = None) -> PrototypeSet:
-    """Weighted class centroids: sum of omega-scaled member rows over member count.
+def build_classifier(features, class_of, omega, way: int | None = None) -> np.ndarray:
+    """Weighted class centroids, (way, d): sum of omega-scaled member rows over member count.
 
     Row i of features is a support sample of class class_of[i] with image
     weight omega[i]. Every class in [0, way) needs a member; way defaults to
@@ -36,25 +27,23 @@ def build_classifier(features, class_of, omega, way: int | None = None) -> Proto
     if class_of.size == 0:
         raise EmptyClassError("no support features")
     way = int(class_of.max()) + 1 if way is None else way
-    centroids, _ = segment_mean(features, class_of, way, weights=omega)
-    return PrototypeSet(centroids=centroids)
+    return segment_mean(features, class_of, way, weights=omega)[0]
 
 
-def classify(queries, prototypes: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:
+def classify(queries, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predict the class of every query row; returns (classes, scores).
 
-    scores[q, c] is the cosine similarity of query q to the centroid of
-    class c. argmax with first-wins tie-breaking.
+    Row c of centroids is the centroid of class c. scores[q, c] is the cosine
+    similarity of query q to it; argmax with first-wins tie-breaking.
     """
     q = np.asarray(queries, dtype=np.float64)
-    mu = prototypes.centroids
     qn = np.linalg.norm(q, axis=1)
     if np.any(qn == 0.0):
         raise DegenerateVectorError(f"zero-norm query at row {int(np.argmin(qn))}")
-    mn = np.linalg.norm(mu, axis=1)
+    mn = np.linalg.norm(centroids, axis=1)
     if np.any(mn == 0.0):
         raise DegenerateVectorError(f"zero-norm centroid for class {int(np.argmin(mn))}")
-    scores = (q @ mu.T) / (qn[:, None] * mn[None, :])
+    scores = (q @ centroids.T) / (qn[:, None] * mn[None, :])
     return np.argmax(scores, axis=1), scores
 
 

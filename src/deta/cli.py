@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 from .adaptation import AdaptationConfig, adapt_task
 from .classifier import evaluate, plain_ncc_accuracy
@@ -20,7 +21,14 @@ from .episodes import (
     save_episode_file,
 )
 from .errors import DetaError, DivergenceError
-from .harness import ABLATION_PRESETS, BenchmarkConfig, emit_report, run_benchmark
+from .harness import (
+    ABLATION_PRESETS,
+    NOISE_TYPES,
+    AggregateReport,
+    BenchmarkConfig,
+    emit_report,
+    run_benchmark,
+)
 from .losses import LossHyperparams
 
 EXIT_OK = 0
@@ -33,6 +41,18 @@ def _ratio_list(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad ratio list {text!r}") from exc
+
+
+def _preset_list(text: str) -> tuple[str, ...]:
+    names = tuple(part.strip() for part in text.split(","))
+    unknown = [name for name in names if name not in ABLATION_PRESETS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown ablation preset(s) {unknown}; choose from {sorted(ABLATION_PRESETS)}"
+        )
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"repeated ablation preset in {text!r}")
+    return names
 
 
 def _add_adaptation_flags(p: argparse.ArgumentParser) -> None:
@@ -71,10 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--shot", type=int, default=10)
     bench.add_argument("--dim", type=int, default=64)
     bench.add_argument("--query-shot", type=int, default=15)
-    bench.add_argument("--noise-type", choices=["none", "label", "image"], default="label")
+    bench.add_argument("--noise-type", choices=NOISE_TYPES, default="label")
     bench.add_argument("--noise-ratios", type=_ratio_list, default=(0.1, 0.3, 0.5, 0.7))
     bench.add_argument("--episodes", type=int, default=100)
-    bench.add_argument("--ablation", choices=sorted(ABLATION_PRESETS), default="full")
+    bench.add_argument(
+        "--ablation",
+        type=_preset_list,
+        default=("full",),
+        help="comma-separated presets, run in order on the same episodes: "
+        + ", ".join(sorted(ABLATION_PRESETS)),
+    )
     bench.add_argument("--class-separation", type=float, default=3.0)
     bench.add_argument("--distractor-mix", type=float, default=0.5)
     bench.add_argument("--out", required=True)
@@ -116,13 +142,19 @@ def _cmd_bench(args) -> int:
         noise_type=args.noise_type,
         noise_ratios=args.noise_ratios,
         episodes_per_cell=args.episodes,
-        ablation=ABLATION_PRESETS[args.ablation],
         adaptation=_adaptation_config(args),
         distractor_mix=args.distractor_mix,
         class_separation=args.class_separation,
         master_seed=args.seed,
     )
-    report = run_benchmark(cfg)
+    # Episode seeds never depend on the ablation, so every preset runs the same episodes.
+    runs = [run_benchmark(replace(cfg, ablation=ABLATION_PRESETS[name])) for name in args.ablation]
+    report = AggregateReport(
+        master_seed=cfg.master_seed,
+        ablation_mask=",".join(run.ablation_mask for run in runs),
+        cells=[cell for run in runs for cell in run.cells],
+        episodes=[episode for run in runs for episode in run.episodes],
+    )
     emit_report(report, args.format, args.out)
     for cell in report.cells:
         print(
@@ -140,31 +172,24 @@ def _show(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def _cmd_adapt(args) -> int:
+def _load_and_adapt(args, record_trace: bool = False):
     episode = load_episode_file(args.episode)
-    cfg = _adaptation_config(args)
-    try:
-        state = adapt_task(episode, cfg)
-    except DivergenceError as exc:
-        print(f"error: diverged at iteration {exc.iteration}: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    return episode, adapt_task(episode, _adaptation_config(args, record_trace))
+
+
+def _cmd_adapt(args) -> int:
+    episode, state = _load_and_adapt(args)
     state.save_json(args.out)
     accuracy = evaluate(episode, state) if episode.queries else None
     baseline = plain_ncc_accuracy(episode) if episode.queries else None
-    print(f"adapted {cfg.iterations} iterations; state written to {args.out}")
+    print(f"adapted {args.iterations} iterations; state written to {args.out}")
     if accuracy is not None:
         print(f"query accuracy: {accuracy:.4f} (baseline {baseline:.4f})")
     return EXIT_OK
 
 
 def _cmd_weights(args) -> int:
-    episode = load_episode_file(args.episode)
-    cfg = _adaptation_config(args, record_trace=True)
-    try:
-        state = adapt_task(episode, cfg)
-    except DivergenceError as exc:
-        print(f"error: diverged at iteration {exc.iteration}: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    _, state = _load_and_adapt(args, record_trace=True)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "sample_id", "region_slot", "phi", "psi", "lambda", "omega"])
@@ -210,6 +235,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except DivergenceError as exc:
+        print(f"error: diverged at iteration {exc.iteration}: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (DetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

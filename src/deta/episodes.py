@@ -152,9 +152,6 @@ class TaskEpisode:
     def n_support(self) -> int:
         return len(self.support)
 
-    def labels(self) -> dict[int, int]:
-        return {s.sample_id: s.label for s in self.support}
-
     def noise_tags(self) -> dict[int, str]:
         return {s.sample_id: s.noise_tag for s in self.support}
 
@@ -476,22 +473,27 @@ def _as_feature(values, d: int, where: str) -> np.ndarray:
     return arr
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def episode_from_dict(doc: dict) -> TaskEpisode:
     """Validate a wire-format dict and build the episode.
 
     Feature values must be ints or floats that are finite as doubles.
-    Subclasses such as numpy.float64 pass; bools do not.
+    Subclasses such as numpy.float64 pass; bools do not, neither as feature
+    values nor as the integers version, way, feature_dim, ids and labels.
     """
     if not isinstance(doc, dict):
         raise SchemaError("episode document must be a JSON object")
     _require_keys(doc, {"version", "feature_dim", "way", "support", "queries"}, "episode")
-    if doc["version"] != EPISODE_FORMAT_VERSION:
+    if isinstance(doc["version"], bool) or doc["version"] != EPISODE_FORMAT_VERSION:
         raise SchemaError(f"unsupported version {doc['version']!r}")
     way = doc["way"]
     d = doc["feature_dim"]
-    if not isinstance(way, int) or way < 2:
+    if not _is_int(way) or way < 2:
         raise SchemaError(f"way must be an integer >= 2, got {way!r}")
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise SchemaError(f"feature_dim must be a positive integer, got {d!r}")
     if not isinstance(doc["support"], list) or not doc["support"]:
         raise SchemaError("support must be a non-empty list")
@@ -505,13 +507,13 @@ def episode_from_dict(doc: dict) -> TaskEpisode:
             raise SchemaError("support entries must be objects")
         _require_keys(entry, {"id", "label", "image_feature", "regions"}, "support entry")
         sid, label = entry["id"], entry["label"]
-        if not isinstance(sid, int):
+        if not _is_int(sid):
             raise SchemaError(f"support id must be an integer, got {sid!r}")
         if sid in seen_ids:
             raise SchemaError(f"duplicate support id {sid}")
         seen_ids.add(sid)
-        if not isinstance(label, int) or not 0 <= label < way:
-            raise SchemaError(f"support sample {sid}: unknown class index {label!r}")
+        if not _is_int(label) or not 0 <= label < way:
+            raise SchemaError(f"support sample {sid}: label is an unknown class index {label!r}")
         image = _as_feature(entry["image_feature"], d, f"support sample {sid}")
         regions_raw = entry["regions"]
         if not isinstance(regions_raw, list) or not regions_raw:
@@ -546,13 +548,13 @@ def episode_from_dict(doc: dict) -> TaskEpisode:
             raise SchemaError("query entries must be objects")
         _require_keys(entry, {"id", "label", "image_feature"}, "query entry")
         qid, label = entry["id"], entry["label"]
-        if not isinstance(qid, int):
+        if not _is_int(qid):
             raise SchemaError(f"query id must be an integer, got {qid!r}")
         if qid in seen_qids:
             raise SchemaError(f"duplicate query id {qid}")
         seen_qids.add(qid)
-        if not isinstance(label, int) or not 0 <= label < way:
-            raise SchemaError(f"query {qid}: unknown class index {label!r}")
+        if not _is_int(label) or not 0 <= label < way:
+            raise SchemaError(f"query {qid}: label is an unknown class index {label!r}")
         queries.append(
             QuerySample(
                 sample_id=qid,

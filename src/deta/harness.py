@@ -186,7 +186,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> AggregateReport:
     """Run every cell of the sweep and aggregate paired accuracies.
 
     Episodes that diverge are kept in the per-episode list, counted per cell
-    and excluded from the means.
+    and excluded from the means. Episode seeds are keyed on a ratio's
+    position in noise_ratios, not on its value: the 0.3 cell of (0.3,) and
+    the 0.3 cell of (0.1, 0.3) run different episodes. Runs that differ only
+    in the ablation always share episodes.
     """
     ratios = (0.0,) if cfg.noise_type == "none" else tuple(cfg.noise_ratios)
     cells: list[CellAggregate] = []

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateVectorError, EmptyClassError, InvalidParameterError, OracleFailure
+from .errors import EmptyClassError, InvalidParameterError, OracleFailure
 
 
 def check_finite(**knobs: float) -> None:
@@ -30,28 +30,6 @@ def _as_vector(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError(f"{name} contains non-finite entries")
     return v
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two nonzero vectors, clipped to [-1, 1]."""
-    va = _as_vector(a, "a")
-    vb = _as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise InvalidParameterError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateVectorError("cosine similarity undefined for zero-norm vector")
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a nonzero vector to unit norm."""
-    vec = _as_vector(v, "v")
-    n = float(np.linalg.norm(vec))
-    if n == 0.0:
-        raise DegenerateVectorError("cannot normalize a zero vector")
-    return vec / n
 
 
 def softmax(scores, temperature: float = 1.0, segment_of=None) -> np.ndarray:

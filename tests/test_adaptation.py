@@ -12,7 +12,6 @@ from deta.adaptation import (
     head_forward,
     init_adapter,
     init_head,
-    project,
     sgd_step,
 )
 from deta.classifier import build_classifier, classify, evaluate
@@ -67,27 +66,22 @@ class TestProjectionHead:
     def test_output_is_unit_norm(self):
         rng = np.random.default_rng(1)
         head = init_head(6, 5, 4, rng)
-        out = project(head, rng.standard_normal((10, 6)))
+        out, _ = head_forward(head, rng.standard_normal((10, 6)))
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-
-    def test_single_vector_shape(self):
-        rng = np.random.default_rng(2)
-        head = init_head(6, 5, 4, rng)
-        assert project(head, rng.standard_normal(6)).shape == (4,)
 
     def test_default_embedding_dimension_is_128(self):
         cfg = AdaptationConfig()
         assert cfg.embed_dim == 128
         rng = np.random.default_rng(3)
         head = init_head(6, 6, cfg.embed_dim, rng)
-        assert project(head, rng.standard_normal(6)).shape == (128,)
+        assert head_forward(head, rng.standard_normal((1, 6)))[0].shape == (1, 128)
 
     def test_zero_preactivation_rejected(self):
         head = init_head(3, 3, 2, np.random.default_rng(4))
         head.w2 = np.zeros_like(head.w2)
         head.b2 = np.zeros_like(head.b2)
         with pytest.raises(DegenerateVectorError):
-            project(head, np.ones(3))
+            head_forward(head, np.ones((1, 3)))
 
     def test_parameter_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -16,8 +16,8 @@ class TestBuildClassifier:
     def test_uniform_weights_reduce_to_plain_means(self):
         features, labels = toy_features()
         protos = build_classifier(features, labels, np.ones(4), way=2)
-        assert np.allclose(protos.centroids[0], [2.0, 0.0, 0.0], atol=0)
-        assert np.allclose(protos.centroids[1], [0.0, 3.0, 0.0], atol=0)
+        assert np.allclose(protos[0], [2.0, 0.0, 0.0], atol=0)
+        assert np.allclose(protos[1], [0.0, 3.0, 0.0], atol=0)
 
     def test_zero_weight_sample_has_no_influence(self):
         features, labels = toy_features()
@@ -25,7 +25,7 @@ class TestBuildClassifier:
         protos_a = build_classifier(features, labels, omega, way=2)
         features[1] = [99.0, -99.0, 7.0]
         protos_b = build_classifier(features, labels, omega, way=2)
-        assert np.array_equal(protos_a.centroids[0], protos_b.centroids[0])
+        assert np.array_equal(protos_a[0], protos_b[0])
 
     def test_matches_literal_weighted_mean(self):
         rng = np.random.default_rng(0)
@@ -36,7 +36,7 @@ class TestBuildClassifier:
         for c in (0, 1):
             members = [sid for sid in range(6) if labels[sid] == c]
             expected = sum(omega[i] * features[i] for i in members) / len(members)
-            assert np.allclose(protos.centroids[c], expected, atol=1e-15)
+            assert np.allclose(protos[c], expected, atol=1e-15)
 
     def test_empty_class_detected(self):
         features, labels = toy_features()

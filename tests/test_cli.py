@@ -1,10 +1,14 @@
 import csv
 import json
+import re
+import shlex
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deta.cli import main
+from deta.cli import build_parser, main
 from deta.episodes import load_episode_file
 from deta.errors import DivergenceError
 from deta.harness import CSV_COLUMNS, load_report_json
@@ -215,17 +219,40 @@ class TestBench:
     def test_blown_up_episodes_fail_alone(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         args = self._bench_args(out, fmt="json") + ["--lr", "1e100", "--iterations", "10"]
-        assert run(args) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(args) == 3
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "(0 ok, 2 failed)" in capsys.readouterr().out
         report = load_report_json(out)
         assert [e.failed for e in report.episodes] == [True, True]
         assert all(e.error.startswith("diverged at iteration") for e in report.episodes)
 
     def test_unknown_ablation_rejected_by_parser(self, tmp_path):
-        args = self._bench_args(tmp_path / "r.csv") + ["--ablation", "bogus"]
-        with pytest.raises(SystemExit) as exc:
-            run(args)
-        assert exc.value.code == 2
+        for value in ("bogus", "full,bogus", "full,full", ""):
+            args = self._bench_args(tmp_path / "r.csv") + ["--ablation", value]
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 2, value
+
+    def test_ablation_list_concatenates_single_preset_rows(self, tmp_path):
+        def data_rows(out, ablation):
+            assert run(self._bench_args(out) + ["--ablation", ablation]) == 0
+            return out.read_text().splitlines(keepends=True)[1:]
+
+        both = data_rows(tmp_path / "both.csv", "full,no-cora")
+        full = data_rows(tmp_path / "full.csv", "full")
+        no_cora = data_rows(tmp_path / "no-cora.csv", "no-cora")
+        assert len(full) == len(no_cora) == 1
+        assert both == full + no_cora
+
+    def test_ablation_list_json_round_trips(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(self._bench_args(out, fmt="json") + ["--ablation", "full,no-cora"]) == 0
+        report = load_report_json(out)
+        assert report.ablation_mask == "11111,01111"
+        assert [c.ablation_mask for c in report.cells] == ["11111", "01111"]
+        assert [e.seed for e in report.episodes[:2]] == [e.seed for e in report.episodes[2:]]
 
     def test_all_cells_divergent_exit_code(self, tmp_path, monkeypatch):
         import deta.harness as harness_module
@@ -241,3 +268,17 @@ class TestBench:
             out = tmp_path / f"{preset}.csv"
             args = self._bench_args(out) + ["--ablation", preset]
             assert run(args) == 0
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [line.strip() for line in "\n".join(blocks).replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv for argv in commands if argv]
+    assert not [argv for argv in commands if argv[0] == "python"], "README runs a script"
+    deta = [argv for argv in commands if argv[0] == "deta"]
+    assert deta
+    parser = build_parser()
+    for argv in deta:
+        parser.parse_args(argv[1:])

@@ -243,6 +243,29 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="sample 1, region 0: feature must be a list of numbers"):
             load_episode_file(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "path,value,match",
+        [
+            (("version",), True, "unsupported version True"),
+            (("way",), True, "way must be an integer"),
+            (("feature_dim",), True, "feature_dim must be a positive integer"),
+            (("support", 0, "id"), False, "support id must be an integer"),
+            (("support", 1, "label"), True, "support sample 1: label is an unknown class index"),
+            (("queries", 0, "id"), True, "query id must be an integer"),
+            (("queries", 0, "label"), False, "query 2: label is an unknown class index"),
+        ],
+    )
+    def test_boolean_integer_field_rejected(self, tmp_path, path, value, match):
+        # json.loads gives bool for true/false, and bool is an int subclass
+        doc = self._valid_doc()
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(SchemaError, match=match):
+            load_episode_file(self._write(tmp_path, doc))
+
     def test_number_subclasses_accepted_from_library_callers(self):
         doc = self._valid_doc()
         doc["support"][1]["regions"] = [[np.float64(0.0), np.float64(1.0)]]
@@ -340,9 +363,8 @@ class TestEpisodeInvariants:
                 seed=0,
             )
 
-    def test_labels_and_tags_accessors(self):
+    def test_noise_tags_accessor(self):
         ep = make_episode(seed=13, label_noise_ratio=0.2)
-        labels = ep.labels()
         tags = ep.noise_tags()
-        assert set(labels) == {s.sample_id for s in ep.support}
+        assert set(tags) == {s.sample_id for s in ep.support}
         assert sum(tag == NOISE_LABEL for tag in tags.values()) == 10

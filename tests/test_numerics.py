@@ -5,67 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deta.errors import DegenerateVectorError, InvalidParameterError, OracleFailure
+from deta.errors import InvalidParameterError, OracleFailure
 from deta.numerics import (
     GradCheckConfig,
-    cosine_similarity,
     finite_difference_gradient,
-    l2_normalize,
     segment_sum,
     softmax,
 )
-
-finite_coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-vectors = st.lists(finite_coords, min_size=2, max_size=16).map(np.array).filter(
-    lambda v: np.linalg.norm(v) > 1e-6
-)
-scales = st.floats(min_value=1e-3, max_value=1e3)
-
-
-@st.composite
-def vector_pairs(draw):
-    dim = draw(st.integers(2, 12))
-    coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-    a = np.array(draw(st.lists(coords, min_size=dim, max_size=dim)))
-    b = np.array(draw(st.lists(coords, min_size=dim, max_size=dim)))
-    if np.linalg.norm(a) <= 1e-6 or np.linalg.norm(b) <= 1e-6:
-        a, b = a + np.eye(dim)[0], b + np.eye(dim)[1]
-    return a, b
-
-
-class TestCosineSimilarity:
-    def test_identical_vectors(self):
-        assert cosine_similarity((1.0, 0.0), (1.0, 0.0)) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine_similarity((1.0, 0.0), (0.0, 1.0)) == 0.0
-
-    def test_hand_computed(self):
-        assert abs(cosine_similarity((3.0, 4.0), (4.0, 3.0)) - 24.0 / 25.0) < 1e-12
-
-    def test_symmetric(self):
-        a, b = np.array([1.0, 2.0, -0.5]), np.array([0.3, -1.0, 2.0])
-        assert cosine_similarity(a, b) == cosine_similarity(b, a)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateVectorError):
-            cosine_similarity((0.0, 0.0), (1.0, 0.0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            cosine_similarity((1.0, 0.0), (1.0, 0.0, 0.0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            cosine_similarity((1.0, np.nan), (1.0, 0.0))
-
-    @given(pair=vector_pairs(), s=scales, t=scales)
-    def test_positive_scale_invariance(self, pair, s, t):
-        v, w = pair
-        base = cosine_similarity(v, w)
-        assert abs(cosine_similarity(s * v, t * w) - base) <= 1e-12
-        assert -1.0 <= base <= 1.0
-
 
 class TestSoftmax:
     def test_constant_scores_uniform(self):
@@ -150,28 +96,6 @@ class TestSegmentSum:
             [0.0 + 6.0, 1.0 + 7.0, 2.0 + 8.0],
             [0.0, 0.0, 0.0],
         ]
-
-
-class TestL2Normalize:
-    def test_three_four(self):
-        assert np.allclose(l2_normalize((3.0, 4.0)), [0.6, 0.8], atol=1e-15)
-
-    def test_unit_vector_fixed_point(self):
-        v = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(l2_normalize(v), v)
-
-    def test_axis_vector(self):
-        assert np.allclose(l2_normalize((2.0, 0.0, 0.0)), [1.0, 0.0, 0.0], atol=0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateVectorError):
-            l2_normalize((0.0, 0.0, 0.0))
-
-    @given(v=vectors)
-    def test_idempotent(self, v):
-        once = l2_normalize(v)
-        assert np.max(np.abs(l2_normalize(once) - once)) <= 1e-12
-        assert abs(np.linalg.norm(once) - 1.0) <= 1e-12
 
 
 class TestFiniteDifferenceGradient:
