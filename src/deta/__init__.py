@@ -15,8 +15,6 @@ from .classifier import (
     predict,
 )
 from .episodes import (
-    QuerySample,
-    SupportSample,
     SyntheticNoiseConfig,
     TaskEpisode,
     corrupt_labels,
@@ -67,8 +65,8 @@ __all__ = [
     # inference
     "build_classifier", "classify", "evaluate", "plain_ncc_accuracy", "predict",
     # episodes
-    "QuerySample", "SupportSample", "SyntheticNoiseConfig", "TaskEpisode", "corrupt_labels",
-    "generate_synthetic_episode", "load_episode_file", "resample_regions", "save_episode_file",
+    "SyntheticNoiseConfig", "TaskEpisode", "corrupt_labels", "generate_synthetic_episode",
+    "load_episode_file", "resample_regions", "save_episode_file",
     # errors
     "DegenerateVectorError", "DetaError", "DivergenceError", "EmptyClassError",
     "InvalidParameterError", "MissingWeightError", "OracleFailure", "ParseError", "SchemaError",

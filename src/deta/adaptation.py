@@ -273,11 +273,11 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     head = init_head(d, d, cfg.embed_dim, np.random.default_rng(init_ss))
     acc = ImageWeightAccumulator(momentum=cfg.momentum)
 
-    sample_ids = tuple(s.sample_id for s in episode.support)
+    sample_ids = tuple(episode.sample_ids.tolist())
     n = len(sample_ids)
-    class_of = np.array([s.label for s in episode.support])
+    class_of = episode.labels
     sample_of = np.repeat(np.arange(n), k)
-    x_img = np.stack([np.asarray(s.image_feature, dtype=np.float64) for s in episode.support])
+    x_img = episode.support_features
 
     loss_trace: list[LossSummary] = []
     weight_trace: list[dict] | None = [] if cfg.record_weight_trace else None

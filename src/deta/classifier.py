@@ -54,22 +54,19 @@ def predict(episode: TaskEpisode, state: AdaptedState | None = None) -> np.ndarr
     support features and queries are adapted too; without one, this is the
     plain unweighted nearest-centroid on the raw features.
     """
-    if not episode.queries:
+    if not episode.query_labels.size:
         raise InvalidParameterError("episode has no query samples")
-    support = np.stack([s.image_feature for s in episode.support])
-    queries = np.stack([q.image_feature for q in episode.queries])
-    omega = np.ones(len(support))
+    support, queries = episode.support_features, episode.query_features
+    omega = np.ones(episode.n_support)
     if state is not None:
         support = forward_features(state.adapter, support)
         queries = forward_features(state.adapter, queries)
-        omega = np.array([state.final_image_weights[s.sample_id] for s in episode.support])
-    class_of = [s.label for s in episode.support]
-    return classify(queries, build_classifier(support, class_of, omega, way=episode.way))[0]
+        omega = np.array([state.final_image_weights[sid] for sid in episode.sample_ids.tolist()])
+    return classify(queries, build_classifier(support, episode.labels, omega, way=episode.way))[0]
 
 
 def _accuracy(episode: TaskEpisode, predictions: np.ndarray) -> float:
-    hits = int(np.count_nonzero(predictions == [q.ground_truth_label for q in episode.queries]))
-    return hits / len(episode.queries)
+    return int(np.count_nonzero(predictions == episode.query_labels)) / episode.query_labels.size
 
 
 def evaluate(episode: TaskEpisode, state: AdaptedState) -> float:

@@ -180,8 +180,8 @@ def _load_and_adapt(args, record_trace: bool = False):
 def _cmd_adapt(args) -> int:
     episode, state = _load_and_adapt(args)
     state.save_json(args.out)
-    accuracy = evaluate(episode, state) if episode.queries else None
-    baseline = plain_ncc_accuracy(episode) if episode.queries else None
+    accuracy = evaluate(episode, state) if episode.query_labels.size else None
+    baseline = plain_ncc_accuracy(episode) if episode.query_labels.size else None
     print(f"adapted {args.iterations} iterations; state written to {args.out}")
     if accuracy is not None:
         print(f"query accuracy: {accuracy:.4f} (baseline {baseline:.4f})")

@@ -1,17 +1,19 @@
 """Few-shot task episodes: synthetic generation, label corruption, file I/O.
 
-An episode holds per-class support samples (one image feature plus a set of
-region features each) and query samples, all as pre-extracted feature
-vectors. Synthetic episodes additionally carry a hidden generative source so
-region sets can be redrawn each adaptation iteration; loaded episodes
-approximate redrawing by subsampling their stored regions with jitter.
+An episode holds its support and query sets as arrays of pre-extracted
+feature vectors: one image feature and a set of stored region features per
+support sample, one feature per query, and id, label and noise-tag vectors.
+Synthetic episodes additionally carry a hidden generative source so region
+sets can be redrawn each adaptation iteration; loaded episodes approximate
+redrawing by subsampling their stored regions with jitter.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,7 +67,8 @@ class _SyntheticSource:
 
     A sample's stored regions act as its anchor set: redraws jitter around
     them at crop_jitter * sigma so consecutive adaptation iterations see
-    perturbed views of the same crops rather than unrelated samples. Not
+    perturbed views of the same crops rather than unrelated samples. Every
+    sample of a synthetic episode stores the same number of regions. Not
     serialized: saved-and-reloaded episodes fall back to stored-region
     subsampling.
     """
@@ -74,129 +77,90 @@ class _SyntheticSource:
     distractor_mean: np.ndarray  # (d,), unit
     sigma: float
     crop_jitter: float
-    distractor_mix: dict[int, float]  # sample_id -> fraction of distractor regions
+    distractor_mix: np.ndarray  # (n,), fraction of distractor regions per support position
 
 
-@dataclass(eq=False)
-class SupportSample:
-    sample_id: int
-    label: int
-    image_feature: np.ndarray  # (d,)
-    region_features: np.ndarray  # (k, d), one row per region
-    ground_truth_label: int
-    noise_tag: str = NOISE_CLEAN
-
-    def __eq__(self, other):
-        if not isinstance(other, SupportSample):
-            return NotImplemented
-        return (
-            self.sample_id == other.sample_id
-            and self.label == other.label
-            and self.ground_truth_label == other.ground_truth_label
-            and self.noise_tag == other.noise_tag
-            and np.array_equal(self.image_feature, other.image_feature)
-            and np.array_equal(self.region_features, other.region_features)
-        )
+_ARRAY_FIELDS = (
+    "sample_ids", "labels", "true_labels", "noise", "support_features", "regions",
+    "region_offsets", "query_ids", "query_labels", "query_features",
+)
 
 
-@dataclass(eq=False)
-class QuerySample:
-    sample_id: int
-    image_feature: np.ndarray  # (d,)
-    ground_truth_label: int
-
-    def __eq__(self, other):
-        if not isinstance(other, QuerySample):
-            return NotImplemented
-        return (
-            self.sample_id == other.sample_id
-            and self.ground_truth_label == other.ground_truth_label
-            and np.array_equal(self.image_feature, other.image_feature)
-        )
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TaskEpisode:
-    """One few-shot task. Treated as immutable after construction.
+    """One few-shot task as arrays in support order and query order.
 
-    Equality compares content (shape, features, labels, evaluation tags) and
-    ignores provenance (seed, generative source).
+    Support sample i has id sample_ids[i], label labels[i] (possibly
+    corrupted), true label true_labels[i], noise tag noise[i], image feature
+    support_features[i] and stored regions
+    regions[region_offsets[i]:region_offsets[i + 1]]; the count may differ per
+    sample. Treated as immutable after construction. Equality compares
+    content (shape, features, ids, labels, evaluation tags) and ignores
+    provenance (seed, generative source).
     """
 
     way: int
-    shots: tuple[int, ...]
-    support: tuple[SupportSample, ...]
-    queries: tuple[QuerySample, ...]
     feature_dim: int
-    seed: int
+    sample_ids: np.ndarray  # (n,)
+    labels: np.ndarray  # (n,)
+    true_labels: np.ndarray  # (n,)
+    noise: np.ndarray  # (n,) str
+    support_features: np.ndarray  # (n, d)
+    regions: np.ndarray  # (R, d)
+    region_offsets: np.ndarray  # (n + 1,), from 0 to R
+    query_ids: np.ndarray  # (q,)
+    query_labels: np.ndarray  # (q,)
+    query_features: np.ndarray  # (q, d)
+    seed: int = 0
     source: _SyntheticSource | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        n, q, d = len(self.sample_ids), len(self.query_ids), self.feature_dim
         if self.way < 2:
             raise InvalidParameterError(f"an episode needs at least 2 classes, got {self.way}")
-        counts = [0] * self.way
-        for s in self.support:
-            if not 0 <= s.label < self.way:
-                raise InvalidParameterError(f"sample {s.sample_id} has label {s.label} outside [0, {self.way})")
-            if not 0 <= s.ground_truth_label < self.way:
-                raise InvalidParameterError(f"sample {s.sample_id} true label out of range")
-            if s.noise_tag not in _NOISE_TAGS:
-                raise InvalidParameterError(f"unknown noise tag {s.noise_tag!r}")
-            counts[s.label] += 1
-        if any(c == 0 for c in counts):
+        if self.way > n:
+            raise InvalidParameterError(
+                f"{self.way} classes but {n} support samples: every class needs one"
+            )
+        offsets = self.region_offsets
+        if not (
+            self.labels.shape == self.true_labels.shape == self.noise.shape == (n,)
+            and self.support_features.shape == (n, d)
+            and offsets.shape == (n + 1,)
+            and offsets[0] == 0
+            and np.all(offsets[1:] > offsets[:-1])
+            and self.regions.shape == (offsets[-1], d)
+            and self.query_labels.shape == (q,)
+            and self.query_features.shape == (q, d)
+        ):
+            raise InvalidParameterError(
+                f"episode arrays do not fit {n} support samples with at least one region "
+                f"each, {q} queries and feature_dim {d}"
+            )
+        for name in ("labels", "true_labels", "query_labels"):
+            values = getattr(self, name)
+            if np.any((values < 0) | (values >= self.way)):
+                raise InvalidParameterError(f"{name} outside [0, {self.way})")
+        if not np.all(np.isin(self.noise, _NOISE_TAGS)):
+            raise InvalidParameterError(f"unknown noise tag in {sorted(set(self.noise.tolist()))}")
+        if np.any(np.bincount(self.labels, minlength=self.way) == 0):
             raise InvalidParameterError("every class must have at least one support sample")
-        if tuple(counts) != tuple(self.shots):
-            raise InvalidParameterError("shots do not match per-class support counts")
 
     @property
     def n_support(self) -> int:
-        return len(self.support)
+        return len(self.sample_ids)
 
     def noise_tags(self) -> dict[int, str]:
-        return {s.sample_id: s.noise_tag for s in self.support}
+        return dict(zip(self.sample_ids.tolist(), self.noise.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, TaskEpisode):
             return NotImplemented
         return (
             self.way == other.way
-            and self.shots == other.shots
             and self.feature_dim == other.feature_dim
-            and self.support == other.support
-            and self.queries == other.queries
+            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS)
         )
-
-    def to_dict(self) -> dict:
-        """Wire-format dict (evaluation-only fields are not serialized)."""
-        return {
-            "version": EPISODE_FORMAT_VERSION,
-            "feature_dim": self.feature_dim,
-            "way": self.way,
-            "support": [
-                {
-                    "id": s.sample_id,
-                    "label": s.label,
-                    "image_feature": [float(x) for x in s.image_feature],
-                    "regions": [[float(x) for x in row] for row in s.region_features],
-                }
-                for s in self.support
-            ],
-            "queries": [
-                {
-                    "id": q.sample_id,
-                    "label": q.ground_truth_label,
-                    "image_feature": [float(x) for x in q.image_feature],
-                }
-                for q in self.queries
-            ],
-        }
-
-
-def _shots_from_support(way: int, support) -> tuple[int, ...]:
-    counts = [0] * way
-    for s in support:
-        counts[s.label] += 1
-    return tuple(counts)
 
 
 def _unit_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -245,72 +209,50 @@ def generate_synthetic_episode(
     class_means, distractor_mean = dirs[:way], dirs[way]
     sigma = 1.0 / cfg.class_separation
 
-    n_support = way * shot
-    support: list[SupportSample] = []
-    for c in range(way):
-        for _ in range(shot):
-            sid = len(support)
-            image = class_means[c] + sigma * rng.standard_normal(d)
-            regions = class_means[c] + sigma * rng.standard_normal((k, d))
-            support.append(
-                SupportSample(
-                    sample_id=sid,
-                    label=c,
-                    image_feature=image,
-                    region_features=regions,
-                    ground_truth_label=c,
-                )
-            )
+    n = way * shot
+    labels = np.repeat(np.arange(way), shot)
+    means = class_means[labels]
+    # The generator fills its output in order, so row i of one block draw is
+    # sample i's image draw followed by its k region draws.
+    draw = sigma * rng.standard_normal((n, (1 + k) * d))
+    images = means + draw[:, :d]
+    regions = (means[:, None, :] + draw[:, d:].reshape(n, k, d)).reshape(n * k, d)
 
-    mix_by_sample = {s.sample_id: 0.0 for s in support}
-    n_image_noisy = _round_half_away(cfg.image_noise_ratio * n_support)
-    for sid in rng.choice(n_support, size=n_image_noisy, replace=False):
-        s = support[int(sid)]
-        mix = cfg.distractor_mix
-        mix_by_sample[s.sample_id] = mix
-        n_dist = min(k, _round_half_away(mix * k))
+    mix = cfg.distractor_mix
+    n_dist = min(k, _round_half_away(mix * k))
+    noisy = rng.choice(n, size=_round_half_away(cfg.image_noise_ratio * n), replace=False)
+    for pos in noisy.tolist():
         slots = rng.choice(k, size=n_dist, replace=False)
-        regions = s.region_features.copy()
-        regions[slots] = distractor_mean + sigma * rng.standard_normal((n_dist, d))
-        image = (
-            (1.0 - mix) * class_means[s.ground_truth_label]
+        regions[pos * k + slots] = distractor_mean + sigma * rng.standard_normal((n_dist, d))
+        images[pos] = (
+            (1.0 - mix) * class_means[labels[pos]]
             + mix * distractor_mean
             + sigma * rng.standard_normal(d)
         )
-        support[int(sid)] = SupportSample(
-            sample_id=s.sample_id,
-            label=s.label,
-            image_feature=image,
-            region_features=regions,
-            ground_truth_label=s.ground_truth_label,
-            noise_tag=NOISE_IMAGE,
-        )
+    is_noisy = np.isin(np.arange(n), noisy)
 
-    queries: list[QuerySample] = []
-    for c in range(way):
-        for _ in range(query_shot):
-            qid = n_support + len(queries)
-            queries.append(
-                QuerySample(
-                    sample_id=qid,
-                    image_feature=class_means[c] + sigma * rng.standard_normal(d),
-                    ground_truth_label=c,
-                )
-            )
-
+    query_labels = np.repeat(np.arange(way), query_shot)
+    queries = class_means[query_labels] + sigma * rng.standard_normal((query_labels.size, d))
     episode = TaskEpisode(
         way=way,
-        shots=(shot,) * way,
-        support=tuple(support),
-        queries=tuple(queries),
         feature_dim=d,
+        sample_ids=np.arange(n),
+        labels=labels,
+        true_labels=labels,
+        noise=np.where(is_noisy, NOISE_IMAGE, NOISE_CLEAN),
+        support_features=images,
+        regions=regions,
+        region_offsets=k * np.arange(n + 1),
+        query_ids=n + np.arange(query_labels.size),
+        query_labels=query_labels,
+        query_features=queries,
         seed=seed,
         source=_SyntheticSource(
             class_means=class_means,
             distractor_mean=distractor_mean,
             sigma=sigma,
             crop_jitter=crop_jitter,
-            distractor_mix=mix_by_sample,
+            distractor_mix=np.where(is_noisy, mix, 0.0),
         ),
     )
     if cfg.label_noise_ratio > 0.0:
@@ -323,60 +265,32 @@ def corrupt_labels(episode: TaskEpisode, ratio: float, seed: int) -> TaskEpisode
 
     Exactly round(ratio * n_support) samples are picked without replacement;
     each gets a label drawn uniformly from the classes other than its true
-    one. True labels are preserved for evaluation, features are untouched.
-    An assignment that would leave some class without any support sample is
-    redrawn, so the episode keeps satisfying its class-coverage invariant.
+    one, in support order. True labels are preserved for evaluation, features
+    are untouched. An assignment that would leave some class without any
+    support sample is redrawn, so the episode keeps satisfying its
+    class-coverage invariant.
     """
     if not 0.0 <= ratio <= 1.0:
         raise InvalidParameterError(f"corruption ratio must be in [0, 1], got {ratio}")
     if ratio == 0.0:
         return episode
-    if episode.way < 2:
-        raise InvalidParameterError("label corruption needs at least 2 classes")
 
     rng = np.random.default_rng(seed)
-    n = episode.n_support
+    n, way = episode.n_support, episode.way
     n_corrupt = _round_half_away(ratio * n)
 
     for _ in range(1000):
-        picked = set(int(i) for i in rng.choice(n, size=n_corrupt, replace=False))
-        new_labels = {}
-        counts = [0] * episode.way
-        for pos, s in enumerate(episode.support):
-            if pos in picked:
-                offset = int(rng.integers(1, episode.way))
-                new_labels[pos] = (s.ground_truth_label + offset) % episode.way
-            else:
-                new_labels[pos] = s.label
-            counts[new_labels[pos]] += 1
-        if all(c > 0 for c in counts):
+        picked = np.sort(rng.choice(n, size=n_corrupt, replace=False))
+        labels = episode.labels.copy()
+        labels[picked] = (episode.true_labels[picked] + rng.integers(1, way, size=n_corrupt)) % way
+        if np.all(np.bincount(labels, minlength=way) > 0):
             break
     else:
         raise InvalidParameterError(
             f"could not corrupt {n_corrupt}/{n} labels without emptying a class"
         )
-
-    support = list(episode.support)
-    for pos in picked:
-        s = support[pos]
-        support[pos] = SupportSample(
-            sample_id=s.sample_id,
-            label=new_labels[pos],
-            image_feature=s.image_feature,
-            region_features=s.region_features,
-            ground_truth_label=s.ground_truth_label,
-            noise_tag=NOISE_LABEL,
-        )
-
-    return TaskEpisode(
-        way=episode.way,
-        shots=_shots_from_support(episode.way, support),
-        support=tuple(support),
-        queries=episode.queries,
-        feature_dim=episode.feature_dim,
-        seed=episode.seed,
-        source=episode.source,
-    )
+    noise = np.where(np.isin(np.arange(n), picked), NOISE_LABEL, episode.noise)
+    return replace(episode, labels=labels, noise=noise)
 
 
 def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> np.ndarray:
@@ -397,27 +311,26 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
     if jitter < 0.0:
         raise InvalidParameterError("jitter must be non-negative")
     rng = np.random.default_rng(seed)
-    d = episode.feature_dim
+    n, d = episode.n_support, episode.feature_dim
+    stored = episode.regions
+    offsets = episode.region_offsets.tolist()
+    out = np.empty((n, k, d))
 
     if episode.source is not None:
         src = episode.source
         scale = src.crop_jitter * src.sigma
-        if all(s.region_features.shape[0] == k for s in episode.support):
+        k_stored = len(stored) // n
+        if k == k_stored:
             # The generator fills its output in order, so one draw equals the per-sample draws.
-            anchors = np.stack([s.region_features for s in episode.support])
-            return anchors + scale * rng.standard_normal((episode.n_support, k, d))
-        out = np.empty((episode.n_support, k, d))
-        for pos, s in enumerate(episode.support):
-            anchors = s.region_features
-            k_stored = anchors.shape[0]
+            return stored.reshape(n, k, d) + scale * rng.standard_normal((n, k, d))
+        for pos in range(n):
             if k < k_stored:
                 idx = np.sort(rng.choice(k_stored, size=k, replace=False))
-                out[pos] = anchors[idx] + scale * rng.standard_normal((k, d))
+                out[pos] = stored[offsets[pos] + idx] + scale * rng.standard_normal((k, d))
             else:
-                mean = src.class_means[s.ground_truth_label]
+                mean = src.class_means[episode.true_labels[pos]]
                 regions = mean + src.sigma * rng.standard_normal((k, d))
-                mix = src.distractor_mix.get(s.sample_id, 0.0)
-                n_dist = min(k, _round_half_away(mix * k))
+                n_dist = min(k, _round_half_away(src.distractor_mix[pos] * k))
                 if n_dist > 0:
                     slots = rng.choice(k, size=n_dist, replace=False)
                     regions[slots] = src.distractor_mean + src.sigma * rng.standard_normal(
@@ -426,15 +339,17 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
                 out[pos] = regions
         return out
 
-    out = np.empty((episode.n_support, k, d))
-    for pos, s in enumerate(episode.support):
-        stored = s.region_features
-        if stored.shape[0] < k:
-            raise InvalidParameterError(
-                f"sample {s.sample_id} stores {stored.shape[0]} regions, need {k}"
-            )
-        idx = rng.choice(stored.shape[0], size=k, replace=False)
-        out[pos] = stored[np.sort(idx)]
+    counts = np.diff(episode.region_offsets)
+    if np.any(counts < k):
+        pos = int(np.argmax(counts < k))
+        raise InvalidParameterError(
+            f"sample {episode.sample_ids[pos]} stores {counts[pos]} regions, need {k}"
+        )
+    # Per-sample draws, interleaved as choice then normal: one batched draw
+    # would change the random stream.
+    for pos in range(n):
+        a, b = offsets[pos], offsets[pos + 1]
+        out[pos] = stored[a + np.sort(rng.choice(b - a, size=k, replace=False))]
         if jitter > 0.0:
             out[pos] += jitter * rng.standard_normal((k, d))
     return out
@@ -454,27 +369,52 @@ def _require_keys(obj: dict, keys: set[str], where: str):
 
 
 _NUMBER_TYPES = {int, float}  # the types json.loads gives numbers; bool is a type of its own
+_LISTED_CLASSES = 10  # empty classes named in an error message; the rest are counted
 
 
-def _as_feature(values, d: int, where: str) -> np.ndarray:
-    if not isinstance(values, list) or not (
-        set(map(type, values)) <= _NUMBER_TYPES
-        or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
-    ):
-        raise SchemaError(f"{where}: feature must be a list of numbers")
+def _as_block(lists: list, d: int, where) -> np.ndarray:
+    """Feature lists as one (len(lists), d) float array; where(i) names list i in errors."""
+    for i, values in enumerate(lists):
+        if not isinstance(values, list) or not (
+            set(map(type, values)) <= _NUMBER_TYPES
+            or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+        ):
+            raise SchemaError(f"{where(i)}: feature must be a list of numbers")
+        if len(values) != d:
+            raise SchemaError(f"{where(i)}: expected dimension {d}, got {len(values)}")
     try:
-        arr = np.asarray(values, dtype=np.float64)
-    except OverflowError as exc:
-        raise SchemaError(f"{where}: feature value out of float range ({exc})") from exc
-    if arr.shape != (d,):
-        raise SchemaError(f"{where}: expected dimension {d}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{where}: non-finite feature values")
-    return arr
+        block = np.array(lists, dtype=np.float64).reshape(len(lists), d)
+    except OverflowError:
+        for i, values in enumerate(lists):
+            try:
+                np.array(values, dtype=np.float64)
+            except OverflowError as exc:
+                raise SchemaError(f"{where(i)}: feature value out of float range ({exc})") from exc
+        raise
+    finite = np.isfinite(block)
+    if not finite.all():
+        raise SchemaError(f"{where(int(np.argmin(finite.all(axis=1))))}: non-finite feature values")
+    return block
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_entry(entry, keys: set[str], kind: str, way: int, seen: set[int]) -> None:
+    """Check a support or query entry's keys, id and label; adds the id to seen."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{kind} entries must be objects")
+    _require_keys(entry, keys, f"{kind} entry")
+    eid, label = entry["id"], entry["label"]
+    if not _is_int(eid):
+        raise SchemaError(f"{kind} id must be an integer, got {eid!r}")
+    if eid in seen:
+        raise SchemaError(f"duplicate {kind} id {eid}")
+    seen.add(eid)
+    if not _is_int(label) or not 0 <= label < way:
+        name = "support sample" if kind == "support" else "query"
+        raise SchemaError(f"{name} {eid}: label is an unknown class index {label!r}")
 
 
 def episode_from_dict(doc: dict) -> TaskEpisode:
@@ -491,85 +431,63 @@ def episode_from_dict(doc: dict) -> TaskEpisode:
         raise SchemaError(f"unsupported version {doc['version']!r}")
     way = doc["way"]
     d = doc["feature_dim"]
+    support, queries = doc["support"], doc["queries"]
     if not _is_int(way) or way < 2:
         raise SchemaError(f"way must be an integer >= 2, got {way!r}")
     if not _is_int(d) or d < 1:
         raise SchemaError(f"feature_dim must be a positive integer, got {d!r}")
-    if not isinstance(doc["support"], list) or not doc["support"]:
+    if not isinstance(support, list) or not support:
         raise SchemaError("support must be a non-empty list")
-    if not isinstance(doc["queries"], list):
+    if not isinstance(queries, list):
         raise SchemaError("queries must be a list")
-
-    support: list[SupportSample] = []
-    seen_ids: set[int] = set()
-    for entry in doc["support"]:
-        if not isinstance(entry, dict):
-            raise SchemaError("support entries must be objects")
-        _require_keys(entry, {"id", "label", "image_feature", "regions"}, "support entry")
-        sid, label = entry["id"], entry["label"]
-        if not _is_int(sid):
-            raise SchemaError(f"support id must be an integer, got {sid!r}")
-        if sid in seen_ids:
-            raise SchemaError(f"duplicate support id {sid}")
-        seen_ids.add(sid)
-        if not _is_int(label) or not 0 <= label < way:
-            raise SchemaError(f"support sample {sid}: label is an unknown class index {label!r}")
-        image = _as_feature(entry["image_feature"], d, f"support sample {sid}")
-        regions_raw = entry["regions"]
-        if not isinstance(regions_raw, list) or not regions_raw:
-            raise SchemaError(f"support sample {sid}: needs at least one region")
-        regions = np.stack(
-            [
-                _as_feature(r, d, f"support sample {sid}, region {j}")
-                for j, r in enumerate(regions_raw)
-            ]
-        )
-        support.append(
-            SupportSample(
-                sample_id=sid,
-                label=label,
-                image_feature=image,
-                region_features=regions,
-                ground_truth_label=label,
-            )
+    if way > len(support):
+        raise SchemaError(
+            f"way {way} exceeds the {len(support)} support samples: every class needs one"
         )
 
-    counts = [0] * way
-    for s in support:
-        counts[s.label] += 1
-    if any(c == 0 for c in counts):
-        empty = [c for c, n in enumerate(counts) if n == 0]
-        raise SchemaError(f"classes without support samples: {empty}")
+    seen: set[int] = set()
+    rows: list = []
+    offsets = [0]
+    for entry in support:
+        _check_entry(entry, {"id", "label", "image_feature", "regions"}, "support", way, seen)
+        if not isinstance(entry["regions"], list) or not entry["regions"]:
+            raise SchemaError(f"support sample {entry['id']}: needs at least one region")
+        rows.extend(entry["regions"])
+        offsets.append(len(rows))
+    ids = [entry["id"] for entry in support]
+    images = _as_block([entry["image_feature"] for entry in support], d,
+                       lambda i: f"support sample {ids[i]}")
 
-    queries: list[QuerySample] = []
-    seen_qids: set[int] = set()
-    for entry in doc["queries"]:
-        if not isinstance(entry, dict):
-            raise SchemaError("query entries must be objects")
-        _require_keys(entry, {"id", "label", "image_feature"}, "query entry")
-        qid, label = entry["id"], entry["label"]
-        if not _is_int(qid):
-            raise SchemaError(f"query id must be an integer, got {qid!r}")
-        if qid in seen_qids:
-            raise SchemaError(f"duplicate query id {qid}")
-        seen_qids.add(qid)
-        if not _is_int(label) or not 0 <= label < way:
-            raise SchemaError(f"query {qid}: label is an unknown class index {label!r}")
-        queries.append(
-            QuerySample(
-                sample_id=qid,
-                image_feature=_as_feature(entry["image_feature"], d, f"query {qid}"),
-                ground_truth_label=label,
-            )
-        )
+    def region_name(r: int) -> str:
+        pos = bisect.bisect_right(offsets, r) - 1
+        return f"support sample {ids[pos]}, region {r - offsets[pos]}"
 
+    regions = _as_block(rows, d, region_name)
+    labels = np.array([entry["label"] for entry in support])
+    empty = np.flatnonzero(np.bincount(labels, minlength=way) == 0)
+    if empty.size:
+        more = empty.size - _LISTED_CLASSES
+        listed = f"{empty[:_LISTED_CLASSES].tolist()}" + (f" and {more} more" if more > 0 else "")
+        raise SchemaError(f"classes without support samples: {listed}")
+
+    seen = set()
+    for entry in queries:
+        _check_entry(entry, {"id", "label", "image_feature"}, "query", way, seen)
+    query_ids = [entry["id"] for entry in queries]
     return TaskEpisode(
         way=way,
-        shots=tuple(counts),
-        support=tuple(support),
-        queries=tuple(queries),
         feature_dim=d,
-        seed=0,
+        sample_ids=np.array(ids),
+        labels=labels,
+        true_labels=labels,
+        noise=np.full(len(ids), NOISE_CLEAN),
+        support_features=images,
+        regions=regions,
+        region_offsets=np.array(offsets),
+        query_ids=np.array(query_ids),
+        query_labels=np.array([entry["label"] for entry in queries], dtype=np.int64),
+        query_features=_as_block([entry["image_feature"] for entry in queries], d,
+                                 lambda i: f"query {query_ids[i]}"),
     )
 
 
@@ -592,12 +510,38 @@ def _reject_constant(name: str):
 
 
 def save_episode_file(episode: TaskEpisode, path) -> None:
-    """Write the episode in the wire format. Evaluation-only fields are dropped."""
+    """Write the episode in the wire format. Evaluation-only fields are dropped.
+
+    The bytes are those of json.dump of the whole document. Each entry is
+    encoded alone with json.dumps, which uses the C encoder (json.dump never
+    does), and written at once, so the document string is never built whole.
+    """
+    off = episode.region_offsets.tolist()
+    support = (
+        {
+            "id": sid,
+            "label": label,
+            "image_feature": episode.support_features[i].tolist(),
+            "regions": episode.regions[off[i] : off[i + 1]].tolist(),
+        }
+        for i, (sid, label) in enumerate(zip(episode.sample_ids.tolist(), episode.labels.tolist()))
+    )
+    queries = (
+        {"id": qid, "label": label, "image_feature": episode.query_features[i].tolist()}
+        for i, (qid, label) in enumerate(
+            zip(episode.query_ids.tolist(), episode.query_labels.tolist())
+        )
+    )
+    header = {
+        "version": EPISODE_FORMAT_VERSION,
+        "feature_dim": episode.feature_dim,
+        "way": episode.way,
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(episode.to_dict(), fh)
-        fh.write("\n")
-
-
-def episode_bytes(episode: TaskEpisode) -> bytes:
-    """Canonical serialized form, for determinism checks."""
-    return (json.dumps(episode.to_dict()) + "\n").encode("utf-8")
+        fh.write(json.dumps(header)[:-1])
+        for key, entries in (("support", support), ("queries", queries)):
+            fh.write(f', "{key}": [')
+            for i, entry in enumerate(entries):
+                fh.write((", " if i else "") + json.dumps(entry))
+            fh.write("]")
+        fh.write("}\n")

@@ -10,10 +10,19 @@ sample at position sample_of[r], whose class is class_of[sample_of[r]].
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
+from deta.episodes import (
+    NOISE_CLEAN,
+    NOISE_IMAGE,
+    NOISE_LABEL,
+    TaskEpisode,
+    _SyntheticSource,
+    _unit_directions,
+)
 from deta.losses import EmbeddingBatch
 from deta.numerics import GradCheckConfig, finite_difference_gradient
 from deta.relevance import RegionIndex
@@ -123,14 +132,163 @@ def brute_global_loss(regions, weights, images, omega, sample_of, class_of, pi: 
     return total / len(regions)
 
 
-def per_sample_synthetic_redraw(episode, k: int, seed: int) -> np.ndarray:
-    """Redraw of a synthetic episode whose samples all store k regions, one
-    generator call per support sample in support order."""
+def episode_from_samples(way, feature_dim, support, queries=(), seed=0, source=None):
+    """The one place tests build an episode sample by sample.
+
+    support entries are dicts with the wire-format keys id, label,
+    image_feature and regions, plus optional true_label (default: label) and
+    noise (default: clean); query entries have id, label and image_feature.
+    """
+    regions = [np.asarray(s["regions"], dtype=np.float64).reshape(-1, feature_dim) for s in support]
+    return TaskEpisode(
+        way=way,
+        feature_dim=feature_dim,
+        sample_ids=np.array([s["id"] for s in support]),
+        labels=np.array([s["label"] for s in support]),
+        true_labels=np.array([s.get("true_label", s["label"]) for s in support]),
+        noise=np.array([s.get("noise", NOISE_CLEAN) for s in support]),
+        support_features=np.array([s["image_feature"] for s in support], dtype=np.float64),
+        regions=np.concatenate(regions),
+        region_offsets=np.cumsum([0] + [len(r) for r in regions]),
+        query_ids=np.array([q["id"] for q in queries], dtype=np.int64),
+        query_labels=np.array([q["label"] for q in queries], dtype=np.int64),
+        query_features=np.array(
+            [q["image_feature"] for q in queries], dtype=np.float64
+        ).reshape(len(queries), feature_dim),
+        seed=seed,
+        source=source,
+    )
+
+
+def episode_samples(episode):
+    """An episode's support samples as per-sample dicts, the inverse of episode_from_samples."""
+    off = episode.region_offsets
+    return [
+        {
+            "id": int(episode.sample_ids[i]),
+            "label": int(episode.labels[i]),
+            "image_feature": episode.support_features[i],
+            "regions": episode.regions[off[i] : off[i + 1]],
+            "true_label": int(episode.true_labels[i]),
+            "noise": str(episode.noise[i]),
+        }
+        for i in range(episode.n_support)
+    ]
+
+
+def episode_dict(episode) -> dict:
+    """Wire-format dict of an episode, built sample by sample."""
+    return {
+        "version": 1,
+        "feature_dim": episode.feature_dim,
+        "way": episode.way,
+        "support": [
+            {
+                "id": s["id"],
+                "label": s["label"],
+                "image_feature": [float(x) for x in s["image_feature"]],
+                "regions": [[float(x) for x in row] for row in s["regions"]],
+            }
+            for s in episode_samples(episode)
+        ],
+        "queries": [
+            {"id": int(qid), "label": int(label), "image_feature": [float(x) for x in feature]}
+            for qid, label, feature in zip(
+                episode.query_ids, episode.query_labels, episode.query_features
+            )
+        ],
+    }
+
+
+def episode_bytes(episode) -> bytes:
+    """Canonical serialized form, for determinism checks."""
+    return (json.dumps(episode_dict(episode)) + "\n").encode("utf-8")
+
+
+def _round_half_away(x: float) -> int:
+    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+
+
+def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15, crop_jitter=0.1):
+    """generate_synthetic_episode drawn one sample at a time, in the order the
+    generator used before it drew blocks: per support sample its image then its
+    k regions, the image-noise loop, per query its feature, then label noise
+    with one class offset per picked sample in support order."""
     rng = np.random.default_rng(seed)
-    scale = episode.source.crop_jitter * episode.source.sigma
-    out = np.empty((episode.n_support, k, episode.feature_dim))
-    for pos, s in enumerate(episode.support):
-        out[pos] = s.region_features + scale * rng.standard_normal((k, episode.feature_dim))
+    dirs = _unit_directions(way + 1, d, rng)
+    class_means, distractor_mean = dirs[:way], dirs[way]
+    sigma = 1.0 / cfg.class_separation
+    n = way * shot
+    support = []
+    for c in range(way):
+        for _ in range(shot):
+            image = class_means[c] + sigma * rng.standard_normal(d)
+            regions = class_means[c] + sigma * rng.standard_normal((k, d))
+            support.append({"id": len(support), "label": c, "image_feature": image,
+                            "regions": regions, "true_label": c, "noise": NOISE_CLEAN})
+    mix_of = [0.0] * n
+    for sid in rng.choice(n, size=_round_half_away(cfg.image_noise_ratio * n), replace=False):
+        s = support[int(sid)]
+        mix = cfg.distractor_mix
+        mix_of[int(sid)] = mix
+        n_dist = min(k, _round_half_away(mix * k))
+        slots = rng.choice(k, size=n_dist, replace=False)
+        s["regions"] = s["regions"].copy()
+        s["regions"][slots] = distractor_mean + sigma * rng.standard_normal((n_dist, d))
+        s["image_feature"] = (
+            (1.0 - mix) * class_means[s["true_label"]]
+            + mix * distractor_mean
+            + sigma * rng.standard_normal(d)
+        )
+        s["noise"] = NOISE_IMAGE
+    queries = []
+    for c in range(way):
+        for _ in range(query_shot):
+            queries.append({"id": n + len(queries), "label": c,
+                            "image_feature": class_means[c] + sigma * rng.standard_normal(d)})
+    if cfg.label_noise_ratio > 0.0:
+        label_rng = np.random.default_rng(int(rng.integers(2**63)))
+        n_corrupt = _round_half_away(cfg.label_noise_ratio * n)
+        for _ in range(1000):
+            picked = set(int(i) for i in label_rng.choice(n, size=n_corrupt, replace=False))
+            new_labels = [
+                (s["true_label"] + int(label_rng.integers(1, way))) % way if pos in picked
+                else s["label"]
+                for pos, s in enumerate(support)
+            ]
+            if len(set(new_labels)) == way:
+                break
+        for pos in picked:
+            support[pos]["label"] = new_labels[pos]
+            support[pos]["noise"] = NOISE_LABEL
+    source = _SyntheticSource(class_means, distractor_mean, sigma, crop_jitter, np.array(mix_of))
+    return episode_from_samples(way, d, support, queries, seed=seed, source=source)
+
+
+def per_sample_resample(episode, k: int, jitter: float, seed: int) -> np.ndarray:
+    """resample_regions with one generator call or two per support sample, in support order."""
+    rng = np.random.default_rng(seed)
+    d = episode.feature_dim
+    out = np.empty((episode.n_support, k, d))
+    src = episode.source
+    for pos, s in enumerate(episode_samples(episode)):
+        stored = s["regions"]
+        if src is None:
+            idx = rng.choice(len(stored), size=k, replace=False)
+            out[pos] = stored[np.sort(idx)]
+            if jitter > 0.0:
+                out[pos] += jitter * rng.standard_normal((k, d))
+        elif k <= len(stored):
+            if k < len(stored):
+                stored = stored[np.sort(rng.choice(len(stored), size=k, replace=False))]
+            out[pos] = stored + src.crop_jitter * src.sigma * rng.standard_normal((k, d))
+        else:
+            regions = src.class_means[s["true_label"]] + src.sigma * rng.standard_normal((k, d))
+            n_dist = min(k, _round_half_away(src.distractor_mix[pos] * k))
+            if n_dist > 0:
+                slots = rng.choice(k, size=n_dist, replace=False)
+                regions[slots] = src.distractor_mean + src.sigma * rng.standard_normal((n_dist, d))
+            out[pos] = regions
     return out
 
 

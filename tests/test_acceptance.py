@@ -320,12 +320,12 @@ def test_criterion_4_reduction_to_baseline():
             cfg = AdaptationConfig(seed=400 + i, ablation=off)
             state = adapt_task(episode, cfg)
 
-            raw = np.stack([s.image_feature for s in episode.support])
-            labels = [s.label for s in episode.support]
+            raw = episode.support_features
+            labels = episode.labels
             ones = np.ones(len(raw))
             plain = build_classifier(raw, labels, ones, way=episode.way)
 
-            omega = [state.final_image_weights[s.sample_id] for s in episode.support]
+            omega = [state.final_image_weights[sid] for sid in episode.sample_ids.tolist()]
             piped = build_classifier(
                 forward_features(state.adapter, raw), labels, omega, way=episode.way
             )
@@ -333,7 +333,7 @@ def test_criterion_4_reduction_to_baseline():
             manual_state_protos = build_classifier(
                 forward_features(init_adapter(64), raw), labels, ones, way=episode.way
             )
-            queries = np.stack([q.image_feature for q in episode.queries])
+            queries = episode.query_features
             expected, _ = classify(queries, plain)
             assert np.array_equal(classify(forward_features(state.adapter, queries), piped)[0], expected)
             assert np.array_equal(classify(queries, manual_state_protos)[0], expected)

@@ -233,12 +233,11 @@ class TestAdaptTask:
     def test_zero_lr_accuracy_equals_weighted_ncc_on_raw_features(self):
         ep = small_episode(seed=7)
         state = adapt_task(ep, fast_cfg(learning_rate=0.0))
-        feats = np.stack([s.image_feature for s in ep.support])
-        omega = [state.final_image_weights[s.sample_id] for s in ep.support]
-        protos = build_classifier(feats, [s.label for s in ep.support], omega, way=ep.way)
-        pred, _ = classify(np.stack([q.image_feature for q in ep.queries]), protos)
-        hits = sum(int(p == q.ground_truth_label) for p, q in zip(pred, ep.queries))
-        assert evaluate(ep, state) == hits / len(ep.queries)
+        omega = [state.final_image_weights[sid] for sid in ep.sample_ids.tolist()]
+        protos = build_classifier(ep.support_features, ep.labels, omega, way=ep.way)
+        pred, _ = classify(ep.query_features, protos)
+        hits = sum(int(p == label) for p, label in zip(pred, ep.query_labels))
+        assert evaluate(ep, state) == hits / len(ep.query_labels)
 
     def test_every_parameter_receives_gradient(self):
         # wide enough that no rectifier unit is dead across the whole batch

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from deta.adaptation import AblationFlags, AdaptationConfig, adapt_task
 from deta.classifier import build_classifier, classify, evaluate, plain_ncc_accuracy
-from deta.episodes import QuerySample, SyntheticNoiseConfig, TaskEpisode, generate_synthetic_episode
+from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode
 from deta.errors import DegenerateVectorError, EmptyClassError, InvalidParameterError
 
 
@@ -117,19 +119,7 @@ class TestEvaluate:
         )
         state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, seed=0))
         assert evaluate(ep, state) == 1.0
-        wrong = tuple(
-            QuerySample(q.sample_id, q.image_feature, (q.ground_truth_label + 1) % ep.way)
-            for q in ep.queries
-        )
-        shifted = TaskEpisode(
-            way=ep.way,
-            shots=ep.shots,
-            support=ep.support,
-            queries=wrong,
-            feature_dim=ep.feature_dim,
-            seed=ep.seed,
-            source=ep.source,
-        )
+        shifted = replace(ep, query_labels=(ep.query_labels + 1) % ep.way)
         assert evaluate(shifted, state) == 0.0
 
     def test_no_queries_rejected(self):
@@ -164,5 +154,5 @@ class TestEvaluate:
                     seed=seed,
                 ),
             )
-            assert state.final_image_weights == {s.sample_id: 1.0 for s in ep.support}
+            assert state.final_image_weights == dict.fromkeys(range(ep.n_support), 1.0)
             assert evaluate(ep, state) == plain_ncc_accuracy(ep)

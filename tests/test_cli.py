@@ -43,7 +43,7 @@ class TestGen:
         ep = load_episode_file(episode_file)
         assert ep.way == 3
         assert ep.n_support == 12
-        assert len(ep.queries) == 12
+        assert len(ep.query_labels) == 12
 
 
 class TestAdapt:
@@ -94,6 +94,18 @@ class TestAdapt:
         assert code == 2
         sid = doc["support"][2]["id"]
         assert f"support sample {sid}, region 1: feature value out of float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("way", [10**12, 2_000_000])
+    def test_way_beyond_support_exits_config_error_briefly(self, tmp_path, capsys, episode_file, way):
+        doc = json.loads(episode_file.read_text())
+        doc["way"] = way
+        bad = tmp_path / "way.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["adapt", "--episode", str(bad), "--out", str(tmp_path / "s.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"way {way} exceeds the 12 support samples" in err
+        assert len(err.encode()) < 1024
 
     def test_zero_region_row_is_an_input_error(self, tmp_path, capsys, episode_file):
         doc = json.loads(episode_file.read_text())

@@ -1,4 +1,6 @@
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +13,7 @@ from deta.episodes import (
     NOISE_IMAGE,
     NOISE_LABEL,
     SyntheticNoiseConfig,
-    TaskEpisode,
     corrupt_labels,
-    episode_bytes,
     episode_from_dict,
     generate_synthetic_episode,
     load_episode_file,
@@ -21,7 +21,13 @@ from deta.episodes import (
     save_episode_file,
 )
 from deta.errors import InvalidParameterError, ParseError, SchemaError
-from oracles import per_sample_synthetic_redraw
+from oracles import (
+    episode_bytes,
+    episode_dict,
+    episode_from_samples,
+    per_sample_episode,
+    per_sample_resample,
+)
 
 
 def make_episode(seed=0, **noise):
@@ -32,14 +38,15 @@ class TestGeneration:
     def test_counts(self):
         ep = make_episode()
         assert ep.n_support == 50
-        assert sum(s.region_features.shape[0] for s in ep.support) == 100
-        assert ep.shots == (10,) * 5
-        assert len(ep.queries) == 75
+        assert ep.regions.shape == (100, 16)
+        assert ep.region_offsets.tolist() == list(range(0, 101, 2))
+        assert np.bincount(ep.labels).tolist() == [10] * 5
+        assert ep.query_features.shape == (75, 16)
 
     def test_zero_noise_all_clean(self):
         ep = make_episode()
-        assert all(s.noise_tag == NOISE_CLEAN for s in ep.support)
-        assert all(s.label == s.ground_truth_label for s in ep.support)
+        assert np.all(ep.noise == NOISE_CLEAN)
+        assert np.array_equal(ep.labels, ep.true_labels)
 
     def test_determinism(self):
         a = make_episode(seed=11, label_noise_ratio=0.3, image_noise_ratio=0.2)
@@ -51,8 +58,7 @@ class TestGeneration:
 
     def test_image_noise_tags_and_count(self):
         ep = make_episode(image_noise_ratio=0.2)
-        tagged = [s for s in ep.support if s.noise_tag == NOISE_IMAGE]
-        assert len(tagged) == 10
+        assert np.count_nonzero(ep.noise == NOISE_IMAGE) == 10
 
     @pytest.mark.parametrize(
         "way,shot,k,d", [(1, 10, 2, 16), (5, 0, 2, 16), (5, 10, 0, 16), (5, 10, 2, 1)]
@@ -71,13 +77,8 @@ class TestGeneration:
         # class structure must be visible in region space for the weighting
         # to have anything to work with
         ep = generate_synthetic_episode(5, 10, 4, 32, SyntheticNoiseConfig(), seed=3)
-        feats, labels = [], []
-        for s in ep.support:
-            for row in s.region_features:
-                feats.append(row / np.linalg.norm(row))
-                labels.append(s.label)
-        feats = np.stack(feats)
-        labels = np.array(labels)
+        feats = ep.regions / np.linalg.norm(ep.regions, axis=1, keepdims=True)
+        labels = np.repeat(ep.labels, 4)
         cos = feats @ feats.T
         same = labels[:, None] == labels[None, :]
         np.fill_diagonal(same, False)
@@ -87,6 +88,27 @@ class TestGeneration:
         assert cos[same].mean() > cos[~same & off_diag].mean()
 
 
+    @pytest.mark.parametrize(
+        "way,shot,k,d,query_shot,noise",
+        [
+            (5, 10, 2, 16, 15, {"image_noise_ratio": 0.2, "label_noise_ratio": 0.3}),
+            (3, 4, 8, 16, 5, {"image_noise_ratio": 0.5}),
+            (4, 3, 2, 12, 0, {"label_noise_ratio": 0.25}),
+            (7, 2, 3, 4, 3, {"image_noise_ratio": 0.3, "label_noise_ratio": 0.5}),
+        ],
+    )
+    def test_block_draws_match_per_sample_draws(self, way, shot, k, d, query_shot, noise):
+        cfg = SyntheticNoiseConfig(**noise)
+        for seed in (0, 5, 2**40 + 3):
+            got = generate_synthetic_episode(way, shot, k, d, cfg, seed, query_shot=query_shot)
+            expected = per_sample_episode(way, shot, k, d, cfg, seed, query_shot=query_shot)
+            assert got == expected
+            assert got.seed == expected.seed
+            for name in ("class_means", "distractor_mean", "sigma", "crop_jitter",
+                         "distractor_mix"):
+                assert np.array_equal(getattr(got.source, name), getattr(expected.source, name))
+
+
 class TestCorruptLabels:
     def test_zero_ratio_identity(self):
         ep = make_episode()
@@ -94,24 +116,20 @@ class TestCorruptLabels:
 
     def test_full_ratio_all_wrong(self):
         ep = corrupt_labels(make_episode(), 1.0, seed=5)
-        assert all(s.label != s.ground_truth_label for s in ep.support)
-        assert all(s.noise_tag == NOISE_LABEL for s in ep.support)
+        assert np.all(ep.labels != ep.true_labels)
+        assert np.all(ep.noise == NOISE_LABEL)
 
     @pytest.mark.parametrize("ratio,expected", [(0.1, 5), (0.25, 13), (0.3, 15), (0.5, 25)])
     def test_exact_count_half_away_rounding(self, ratio, expected):
         ep = corrupt_labels(make_episode(), ratio, seed=9)
-        corrupted = [s for s in ep.support if s.noise_tag == NOISE_LABEL]
-        assert len(corrupted) == expected
+        assert np.count_nonzero(ep.noise == NOISE_LABEL) == expected
 
     def test_features_and_queries_untouched(self):
         base = make_episode()
         ep = corrupt_labels(base, 0.4, seed=2)
-        assert ep.n_support == base.n_support
-        assert ep.queries == base.queries
-        for before, after in zip(base.support, ep.support):
-            assert np.array_equal(before.image_feature, after.image_feature)
-            assert np.array_equal(before.region_features, after.region_features)
-            assert before.ground_truth_label == after.ground_truth_label
+        for name in ("sample_ids", "true_labels", "support_features", "regions",
+                     "region_offsets", "query_ids", "query_labels", "query_features"):
+            assert np.array_equal(getattr(ep, name), getattr(base, name))
 
     def test_bad_ratio(self):
         with pytest.raises(InvalidParameterError):
@@ -123,9 +141,8 @@ class TestCorruptLabels:
         counts = np.zeros(5, dtype=int)
         for trial in range(10_000):
             corrupted = corrupt_labels(ep, 0.3, seed=trial)
-            for s in corrupted.support:
-                if s.noise_tag == NOISE_LABEL:
-                    counts[(s.label - s.ground_truth_label) % 5] += 1
+            hit = corrupted.noise == NOISE_LABEL
+            counts += np.bincount((corrupted.labels - corrupted.true_labels)[hit] % 5, minlength=5)
         assert counts[0] == 0
         result = stats.chisquare(counts[1:])
         assert result.pvalue > 0.01
@@ -135,7 +152,7 @@ class TestCorruptLabels:
     def test_count_matches_rounding(self, ratio, seed):
         ep = make_episode(seed=1)
         out = corrupt_labels(ep, ratio, seed=seed)
-        n_tagged = sum(s.noise_tag == NOISE_LABEL for s in out.support)
+        n_tagged = np.count_nonzero(out.noise == NOISE_LABEL)
         assert n_tagged == int(np.floor(ratio * ep.n_support + 0.5))
 
 
@@ -169,7 +186,8 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         ep = load_episode_file(path)
         assert ep.n_support == 2
-        assert ep.support[0].region_features.shape == (1, 2)
+        assert ep.regions.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert ep.region_offsets.tolist() == [0, 1, 2]
 
     def _write(self, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -270,13 +288,38 @@ class TestSerialization:
         doc = self._valid_doc()
         doc["support"][1]["regions"] = [[np.float64(0.0), np.float64(1.0)]]
         ep = episode_from_dict(doc)
-        assert ep.support[1].region_features.tolist() == [[0.0, 1.0]]
+        assert ep.regions[1:].tolist() == [[0.0, 1.0]]
 
     def test_integer_beyond_float_range_rejected(self, tmp_path):
         doc = self._valid_doc()
         doc["support"][1]["image_feature"] = [0, 10**400]
         with pytest.raises(SchemaError, match="support sample 1: feature value out of float range"):
             load_episode_file(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("way", [3, 2_000_000, 10**12])
+    def test_way_above_support_count_rejected(self, tmp_path, way):
+        doc = self._valid_doc()
+        doc["way"] = way
+        with pytest.raises(SchemaError, match=f"way {way} exceeds the 2 support samples"):
+            load_episode_file(self._write(tmp_path, doc))
+
+    def test_empty_class_listing_is_capped(self, tmp_path):
+        doc = self._valid_doc()
+        doc["way"] = 30
+        doc["support"] = [dict(doc["support"][0], id=i) for i in range(30)]
+        with pytest.raises(SchemaError) as info:
+            load_episode_file(self._write(tmp_path, doc))
+        assert str(info.value) == (
+            "classes without support samples: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 19 more"
+        )
+
+    def test_non_finite_feature_names_its_region(self, tmp_path):
+        doc = self._valid_doc()
+        doc["support"][1]["regions"] = [[0.0, 1.0], [0.0, 1.0], [1e308, 0.0]]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc).replace("1e+308", "1e999"))
+        with pytest.raises(SchemaError, match="support sample 1, region 2: non-finite"):
+            load_episode_file(path)
 
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         path = tmp_path / "binary.json"
@@ -292,6 +335,58 @@ class TestSerialization:
             load_episode_file(path)
 
 
+class TestWriter:
+    SUPPORT = [
+        {"id": 7, "label": 1, "image_feature": [-0.0, 5e-324], "regions": [[1.0, -0.0]]},
+        {"id": -3, "label": 0, "image_feature": [1e-310, -2.5],
+         "regions": [[0.1, 0.2], [2.2250738585072014e-308, -1e300], [3.0, 4.0]]},
+        {"id": 2**70, "label": 1, "image_feature": [0.3, 1 / 3],
+         "regions": [[-5e-324, 7.0], [8.0, 9.0]]},
+    ]
+    QUERIES = [
+        {"id": 40, "label": 0, "image_feature": [-0.0, 0.5]},
+        {"id": 2, "label": 1, "image_feature": [1e16, -1e-16]},
+    ]
+
+    def _reference_bytes(self, way, d, support, queries):
+        doc = {
+            "version": 1,
+            "feature_dim": d,
+            "way": way,
+            "support": [
+                {"id": s["id"], "label": s["label"],
+                 "image_feature": [float(x) for x in s["image_feature"]],
+                 "regions": [[float(x) for x in row] for row in s["regions"]]}
+                for s in support
+            ],
+            "queries": [
+                {"id": q["id"], "label": q["label"],
+                 "image_feature": [float(x) for x in q["image_feature"]]}
+                for q in queries
+            ],
+        }
+        buf = io.StringIO()
+        json.dump(doc, buf)
+        buf.write("\n")
+        return buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("queries", [QUERIES, []])
+    def test_bytes_equal_json_dump_of_per_sample_dict(self, tmp_path, queries):
+        ep = episode_from_samples(2, 2, self.SUPPORT, queries)
+        path = tmp_path / "ep.json"
+        save_episode_file(ep, path)
+        assert path.read_bytes() == self._reference_bytes(2, 2, self.SUPPORT, queries)
+        assert load_episode_file(path) == ep
+
+    def test_generated_episode_bytes_equal_json_dump(self, tmp_path):
+        ep = make_episode(seed=4, label_noise_ratio=0.3, image_noise_ratio=0.2)
+        path = tmp_path / "ep.json"
+        save_episode_file(ep, path)
+        doc = episode_dict(ep)
+        assert path.read_bytes() == self._reference_bytes(5, 16, doc["support"], doc["queries"])
+        assert path.read_bytes() == episode_bytes(ep)
+
+
 class TestResampleRegions:
     def _loaded(self, tmp_path, k_stored=2, seed=6):
         ep = generate_synthetic_episode(
@@ -304,8 +399,7 @@ class TestResampleRegions:
     def test_loaded_exact_k_zero_jitter_returns_stored(self, tmp_path):
         ep = self._loaded(tmp_path, k_stored=2)
         drawn = resample_regions(ep, 2, jitter=0.0, seed=0)
-        for pos, s in enumerate(ep.support):
-            assert np.array_equal(drawn[pos], s.region_features)
+        assert np.array_equal(drawn.reshape(-1, 8), ep.regions)
 
     def test_k_one_gives_one_region_each(self, tmp_path):
         ep = self._loaded(tmp_path, k_stored=3)
@@ -341,8 +435,30 @@ class TestResampleRegions:
             4, 3, k, 16, SyntheticNoiseConfig(image_noise_ratio=0.5), seed=seed, query_shot=1
         )
         for draw_seed in (0, 123, 2**63 + 5):
-            expected = per_sample_synthetic_redraw(ep, k, draw_seed)
+            expected = per_sample_resample(ep, k, 0.0, draw_seed)
             assert np.array_equal(resample_regions(ep, k, jitter=0.0, seed=draw_seed), expected)
+
+    @pytest.mark.parametrize("k_stored,k", [(4, 2), (2, 5), (3, 3)])
+    def test_synthetic_other_k_matches_per_sample_draws(self, k_stored, k):
+        ep = generate_synthetic_episode(
+            4, 3, k_stored, 16, SyntheticNoiseConfig(image_noise_ratio=0.5), seed=3, query_shot=1
+        )
+        for draw_seed in (0, 77):
+            expected = per_sample_resample(ep, k, 0.0, draw_seed)
+            assert np.array_equal(resample_regions(ep, k, jitter=0.0, seed=draw_seed), expected)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_loaded_matches_per_sample_draws(self, jitter):
+        rng = np.random.default_rng(1)
+        support = [
+            {"id": sid, "label": sid % 2, "image_feature": rng.standard_normal(3),
+             "regions": rng.standard_normal((count, 3))}
+            for sid, count in zip((4, 1, 9, 0), (2, 5, 3, 7))
+        ]
+        ep = episode_from_samples(2, 3, support)
+        for k, draw_seed in ((1, 0), (2, 5), (2, 2**63 + 1)):
+            expected = per_sample_resample(ep, k, jitter, draw_seed)
+            assert np.array_equal(resample_regions(ep, k, jitter=jitter, seed=draw_seed), expected)
 
     def test_synthetic_supports_larger_k(self):
         ep = make_episode(seed=8)
@@ -354,17 +470,22 @@ class TestEpisodeInvariants:
     def test_way_below_two_rejected(self):
         ep = make_episode()
         with pytest.raises(InvalidParameterError):
-            TaskEpisode(
-                way=1,
-                shots=(50,),
-                support=ep.support,
-                queries=ep.queries,
-                feature_dim=16,
-                seed=0,
-            )
+            replace(ep, way=1)
+
+    def test_arrays_that_do_not_fit_rejected(self):
+        ep = make_episode()
+        for bad in (
+            {"region_offsets": ep.region_offsets[:-1]},
+            {"region_offsets": np.zeros_like(ep.region_offsets)},
+            {"support_features": ep.support_features[:, :3]},
+            {"query_labels": ep.query_labels[1:]},
+            {"true_labels": ep.true_labels + 5},
+        ):
+            with pytest.raises(InvalidParameterError):
+                replace(ep, **bad)
 
     def test_noise_tags_accessor(self):
         ep = make_episode(seed=13, label_noise_ratio=0.2)
         tags = ep.noise_tags()
-        assert set(tags) == {s.sample_id for s in ep.support}
+        assert set(tags) == set(range(50))
         assert sum(tag == NOISE_LABEL for tag in tags.values()) == 10

@@ -16,6 +16,7 @@ from deta.adaptation import AdaptationConfig, adapt_task
 from deta.classifier import predict
 from deta.episodes import SyntheticNoiseConfig, episode_from_dict, generate_synthetic_episode
 from deta.relevance import region_weights
+from oracles import episode_dict
 
 WAY, SHOT, K = 4, 3, 2
 N = WAY * SHOT
@@ -37,7 +38,7 @@ def base():
     episode = generate_synthetic_episode(
         WAY, SHOT, K, 12, SyntheticNoiseConfig(label_noise_ratio=0.25), seed=21, query_shot=6
     )
-    doc = episode.to_dict()
+    doc = episode_dict(episode)
     return doc, *run(doc)
 
 

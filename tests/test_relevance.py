@@ -244,14 +244,14 @@ class TestNoiseSeparation:
             ep = generate_synthetic_episode(
                 5, 10, 2, 64, SyntheticNoiseConfig(label_noise_ratio=0.3), seed=5000 + i
             )
-            class_of = np.array([s.label for s in ep.support])
+            class_of = ep.labels
             sample_of = np.repeat(np.arange(ep.n_support), 2)
             acc = ImageWeightAccumulator(momentum=0.7)
             for t in range(10):
                 drawn = resample_regions(ep, 2, jitter=0.0, seed=97 * i + t)
                 table = region_weights(drawn.reshape(-1, ep.feature_dim), sample_of, class_of)
                 acc = accumulate_image_weights(acc, table)
-            tags = [s.noise_tag for s in ep.support]
+            tags = ep.noise
             clean = [w for w, tag in zip(acc.omega, tags) if tag == "clean"]
             noisy = [w for w, tag in zip(acc.omega, tags) if tag == "label_noisy"]
             hits += int(np.mean(clean) > np.mean(noisy))
