@@ -225,9 +225,34 @@ class AdaptedState:
         }
 
     def save_json(self, path) -> None:
+        """Write to_dict() as json.dump(..., indent=2) would, plus a newline."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(_indented(self.to_dict()) + "\n")
+
+
+def _indented(obj, level: int = 0) -> str:
+    """json.dumps(obj, indent=2), with each flat list of numbers C-encoded in one call.
+
+    json.dump with an indent always takes the pure-Python encoder. A flat
+    number list is encoded by json.dumps (the C encoder) and then split at
+    its ", " separators, which never occur inside a JSON number. Dict keys
+    must be strings.
+    """
+    if not isinstance(obj, (dict, list)) or not obj:
+        return json.dumps(obj)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        opening, closing = "{", "}"
+        body = ("," + inner).join(
+            f"{json.dumps(key)}: {_indented(value, level + 1)}" for key, value in obj.items()
+        )
+    else:
+        opening, closing = "[", "]"
+        if set(map(type, obj)) <= {int, float}:
+            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_indented(value, level + 1) for value in obj)
+    return opening + inner + body + "\n" + "  " * level + closing
 
 
 def _params_of(adapter: AdapterParams, head: ProjectionHead) -> dict[str, np.ndarray]:

@@ -12,7 +12,12 @@ import numpy as np
 
 from .adaptation import AdaptedState, forward_features
 from .episodes import TaskEpisode
-from .errors import DegenerateVectorError, EmptyClassError, InvalidParameterError
+from .errors import (
+    DegenerateVectorError,
+    DivergenceError,
+    EmptyClassError,
+    InvalidParameterError,
+)
 from .numerics import segment_mean
 
 
@@ -52,15 +57,25 @@ def predict(episode: TaskEpisode, state: AdaptedState | None = None) -> np.ndarr
 
     With a state, centroids are omega-weighted class means of the adapted
     support features and queries are adapted too; without one, this is the
-    plain unweighted nearest-centroid on the raw features.
+    plain unweighted nearest-centroid on the raw features. Adapted features
+    that are not finite, or whose squared norms overflow, raise
+    DivergenceError at the state's last iteration.
     """
     if not episode.query_labels.size:
         raise InvalidParameterError("episode has no query samples")
     support, queries = episode.support_features, episode.query_features
     omega = np.ones(episode.n_support)
     if state is not None:
-        support = forward_features(state.adapter, support)
-        queries = forward_features(state.adapter, queries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            support = forward_features(state.adapter, support)
+            queries = forward_features(state.adapter, queries)
+            finite = all(np.isfinite(np.einsum("ij,ij->i", x, x)).all() for x in (support, queries))
+        if not finite:
+            # adapt_task checks its outputs before each update, so only the last update is unchecked.
+            raise DivergenceError(
+                "adapted features are not finite or their norms overflow",
+                iteration=state.config.iterations,
+            )
         omega = np.array([state.final_image_weights[sid] for sid in episode.sample_ids.tolist()])
     return classify(queries, build_classifier(support, episode.labels, omega, way=episode.way))[0]
 

@@ -8,7 +8,6 @@ diverged (or a single adaptation run did).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
@@ -179,9 +178,9 @@ def _load_and_adapt(args, record_trace: bool = False):
 
 def _cmd_adapt(args) -> int:
     episode, state = _load_and_adapt(args)
-    state.save_json(args.out)
     accuracy = evaluate(episode, state) if episode.query_labels.size else None
     baseline = plain_ncc_accuracy(episode) if episode.query_labels.size else None
+    state.save_json(args.out)
     print(f"adapted {args.iterations} iterations; state written to {args.out}")
     if accuracy is not None:
         print(f"query accuracy: {accuracy:.4f} (baseline {baseline:.4f})")
@@ -190,21 +189,14 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_weights(args) -> int:
     _, state = _load_and_adapt(args, record_trace=True)
+    # Integers and float reprs never need CSV quoting, so these are csv.writer's bytes.
+    rows = "".join(
+        f"{r['iteration']},{r['sample_id']},{r['region_slot']},"
+        f"{r['phi']!r},{r['psi']!r},{r['lambda']!r},{r['omega']!r}\n"
+        for r in state.weight_trace or []
+    )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "sample_id", "region_slot", "phi", "psi", "lambda", "omega"])
-        for row in state.weight_trace or []:
-            writer.writerow(
-                [
-                    row["iteration"],
-                    row["sample_id"],
-                    row["region_slot"],
-                    repr(row["phi"]),
-                    repr(row["psi"]),
-                    repr(row["lambda"]),
-                    repr(row["omega"]),
-                ]
-            )
+        fh.write("iteration,sample_id,region_slot,phi,psi,lambda,omega\n" + rows)
     print(f"weight trace written to {args.out}")
     return EXIT_OK
 

@@ -313,8 +313,6 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
     rng = np.random.default_rng(seed)
     n, d = episode.n_support, episode.feature_dim
     stored = episode.regions
-    offsets = episode.region_offsets.tolist()
-    out = np.empty((n, k, d))
 
     if episode.source is not None:
         src = episode.source
@@ -323,6 +321,8 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
         if k == k_stored:
             # The generator fills its output in order, so one draw equals the per-sample draws.
             return stored.reshape(n, k, d) + scale * rng.standard_normal((n, k, d))
+        offsets = episode.region_offsets.tolist()
+        out = np.empty((n, k, d))
         for pos in range(n):
             if k < k_stored:
                 idx = np.sort(rng.choice(k_stored, size=k, replace=False))
@@ -345,13 +345,14 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
         raise InvalidParameterError(
             f"sample {episode.sample_ids[pos]} stores {counts[pos]} regions, need {k}"
         )
-    # Per-sample draws, interleaved as choice then normal: one batched draw
-    # would change the random stream.
-    for pos in range(n):
-        a, b = offsets[pos], offsets[pos + 1]
-        out[pos] = stored[a + np.sort(rng.choice(b - a, size=k, replace=False))]
-        if jitter > 0.0:
-            out[pos] += jitter * rng.standard_normal((k, d))
+    # One uniform key per stored slot, +inf past each sample's own count; the
+    # k smallest keys of a row are a uniform k-subset of that sample's slots.
+    keys = rng.random((n, int(counts.max())))
+    keys[np.arange(keys.shape[1]) >= counts[:, None]] = np.inf
+    slots = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+    out = stored[episode.region_offsets[:-1, None] + slots]
+    if jitter > 0.0:
+        out += jitter * rng.standard_normal((n, k, d))
     return out
 
 

@@ -169,11 +169,11 @@ def run_episode(cfg: BenchmarkConfig, ratio: float, ratio_index: int, index: int
     adapt_cfg = replace(cfg.adaptation, k_regions=cfg.k_regions, seed=seed, ablation=cfg.ablation)
     try:
         state = adapt_task(episode, adapt_cfg)
+        report.deta_accuracy = evaluate(episode, state)
     except DivergenceError as exc:
         report.failed = True
         report.error = f"diverged at iteration {exc.iteration}: {exc}"
         return report
-    report.deta_accuracy = evaluate(episode, state)
     report.omega = {str(k): float(v) for k, v in sorted(state.final_image_weights.items())}
     report.omega_separation = _separation(state.final_image_weights, episode.noise_tags())
     if state.loss_trace:

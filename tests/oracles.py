@@ -266,16 +266,26 @@ def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15, crop_jitter=0.
 
 
 def per_sample_resample(episode, k: int, jitter: float, seed: int) -> np.ndarray:
-    """resample_regions with one generator call or two per support sample, in support order."""
+    """resample_regions sample by sample, in support order.
+
+    A loaded episode first draws one (n, m) block of uniform keys, m the
+    largest stored count; each sample then takes its stored rows at the k
+    smallest keys among its own first count slots, in slot order, plus k
+    jitter rows. A synthetic episode makes one generator call or two per
+    sample.
+    """
     rng = np.random.default_rng(seed)
     d = episode.feature_dim
     out = np.empty((episode.n_support, k, d))
     src = episode.source
-    for pos, s in enumerate(episode_samples(episode)):
+    samples = episode_samples(episode)
+    if src is None:
+        keys = rng.random((len(samples), max(len(s["regions"]) for s in samples)))
+    for pos, s in enumerate(samples):
         stored = s["regions"]
         if src is None:
-            idx = rng.choice(len(stored), size=k, replace=False)
-            out[pos] = stored[np.sort(idx)]
+            own = keys[pos, : len(stored)]
+            out[pos] = stored[np.sort(np.argsort(own, kind="stable")[:k])]
             if jitter > 0.0:
                 out[pos] += jitter * rng.standard_normal((k, d))
         elif k <= len(stored):

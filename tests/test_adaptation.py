@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -308,6 +311,22 @@ class TestAdaptTask:
         }
         assert doc["iterations"] == 2
         assert len(doc["loss_trace"]) == 2
+
+    @pytest.mark.parametrize("empty_trace", [False, True])
+    def test_state_json_bytes_equal_indented_json_dump(self, tmp_path, empty_trace):
+        state = adapt_task(small_episode(seed=3), fast_cfg(iterations=2))
+        state.adapter.w[0, :6] = [-0.0, 5e-324, 1e308, np.inf, np.nan, -1e-310]
+        state.head.b2[:3] = [-np.inf, 2.2250738585072014e-308, 1e16]
+        first = state.sample_ids[0]
+        state.final_image_weights[first] = np.nan
+        if empty_trace:
+            state.loss_trace = []
+        path = tmp_path / "state.json"
+        state.save_json(path)
+        reference = io.StringIO()
+        json.dump(state.to_dict(), reference, indent=2)
+        reference.write("\n")
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):

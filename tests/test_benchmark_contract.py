@@ -7,6 +7,7 @@ pattern must fail here, not only in traced benchmark runs.
 
 import importlib.util
 import types
+from collections import Counter
 from pathlib import Path
 
 import deta.adaptation
@@ -67,6 +68,49 @@ def test_traced_episode_keeps_the_tracer_contract():
     assert calls["episodes.resample"] == 3
     assert tracer.counts["relevance.region_index_hash"] == 0
     assert tracer.counts["classifier.classify"] <= 2
+    after = snapshot(owners)
+    for owner in owners:
+        assert after[owner].keys() == before[owner].keys()
+        for name, value in before[owner].items():
+            assert after[owner][name] is value, f"{owner.__name__}.{name} not restored"
+
+
+def test_traced_file_commands_keep_the_tracer_contract(tmp_path, capsys):
+    mods = types.SimpleNamespace(
+        adaptation=deta.adaptation,
+        classifier=deta.classifier,
+        cli=deta.cli,
+        errors=deta.errors,
+        harness=deta.harness,
+        losses=deta.losses,
+        relevance=deta.relevance,
+    )
+    owners = (*vars(mods).values(), deta.relevance.RegionIndex, deta.relevance.RegionWeightTable)
+    episode = tmp_path / "episode.json"
+    gen = ["gen", "--way", "3", "--shot", "4", "--k-regions", "5", "--dim", "12",
+           "--query-shot", "5", "--label-noise", "0.3", "--seed", "2", "--out", str(episode)]
+    assert deta.cli.main(gen) == 0
+    before = snapshot(owners)
+    tracer = load_tracing().Tracer(mods)
+    iterations = 3
+    tracer.install()
+    try:
+        codes = [
+            deta.cli.main([command, "--episode", str(episode), "--out", str(tmp_path / out),
+                           "--iterations", str(iterations), "--embed-dim", "16"])
+            for command, out in (("adapt", "state.json"), ("weights", "weights.csv"))
+        ]
+    finally:
+        tracer.remove()
+
+    assert codes == [0, 0]
+    assert tracer.structure_errors() == []
+    calls = tracer.summary()["calls"]
+    assert calls["cli.main"] == 2
+    assert calls["episodes.load"] == 2
+    adapt_spans = [span[0] for span in tracer.spans if span[3] == "adaptation.adapt_task"]
+    resamples = Counter(span[1] for span in tracer.spans if span[3] == "episodes.resample")
+    assert [resamples[sid] for sid in adapt_spans] == [iterations, iterations]
     after = snapshot(owners)
     for owner in owners:
         assert after[owner].keys() == before[owner].keys()

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 import shlex
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deta.cli import build_parser, main
+from deta.adaptation import adapt_task
+from deta.cli import _adaptation_config, build_parser, main
 from deta.episodes import load_episode_file
 from deta.errors import DivergenceError
 from deta.harness import CSV_COLUMNS, load_report_json
@@ -128,6 +130,18 @@ class TestAdapt:
         code = run(["adapt", "--episode", str(episode_file), "--out", str(tmp_path / "s.json")])
         assert code == 3
 
+    def test_blown_up_last_step_is_divergence(self, tmp_path, capsys, episode_file):
+        # the only update is the last one, so adapt_task's own checks never see its result
+        out = tmp_path / "s.json"
+        args = ["adapt", "--episode", str(episode_file), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(args + ["--lr", "1e300", "--iterations", "1"])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 3
+        assert "diverged at iteration 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWeights:
     def test_trace_csv(self, tmp_path, episode_file):
@@ -148,6 +162,21 @@ class TestWeights:
         assert len(rows) == 1 + 4 * 12 * 2
         assert {r[0] for r in rows[1:]} == {"1", "2", "3", "4"}
 
+    def test_trace_csv_bytes_equal_csv_writer(self, tmp_path, episode_file):
+        out = tmp_path / "weights.csv"
+        argv = ["--iterations", "3", "--embed-dim", "16", "--seed", "4"]
+        assert run(["weights", "--episode", str(episode_file), "--out", str(out)] + argv) == 0
+        args = build_parser().parse_args(["weights", "--episode", "-", "--out", "-"] + argv)
+        state = adapt_task(load_episode_file(episode_file), _adaptation_config(args, True))
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["iteration", "sample_id", "region_slot", "phi", "psi", "lambda", "omega"])
+        for row in state.weight_trace:
+            writer.writerow(
+                [row["iteration"], row["sample_id"], row["region_slot"]]
+                + [repr(row[key]) for key in ("phi", "psi", "lambda", "omega")]
+            )
+        assert out.read_bytes() == reference.getvalue().encode("utf-8")
 
     def test_trace_rows_follow_sample_id_order(self, tmp_path, episode_file):
         # support stored out of id order: rows still go by iteration, sample id, slot
@@ -239,6 +268,18 @@ class TestBench:
         report = load_report_json(out)
         assert [e.failed for e in report.episodes] == [True, True]
         assert all(e.error.startswith("diverged at iteration") for e in report.episodes)
+
+    def test_blown_up_last_step_fails_the_episode(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        args = self._bench_args(out, fmt="json") + ["--lr", "1e300", "--iterations", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(args) == 3
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "(0 ok, 2 failed)" in capsys.readouterr().out
+        report = load_report_json(out)
+        assert [e.error.split(":")[0] for e in report.episodes] == ["diverged at iteration 1"] * 2
+        assert all(e.deta_accuracy is None for e in report.episodes)
 
     def test_unknown_ablation_rejected_by_parser(self, tmp_path):
         for value in ("bogus", "full,bogus", "full,full", ""):

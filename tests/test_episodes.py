@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +34,16 @@ from oracles import (
 
 def make_episode(seed=0, **noise):
     return generate_synthetic_episode(5, 10, 2, 16, SyntheticNoiseConfig(**noise), seed=seed)
+
+
+def slot_tagged_episode(counts):
+    """A loaded two-class episode whose stored region j of support position i is (i, j, 1)."""
+    support = [
+        {"id": 5 * i + 2, "label": i % 2, "image_feature": np.ones(3),
+         "regions": np.array([[i, j, 1.0] for j in range(count)])}
+        for i, count in enumerate(counts)
+    ]
+    return episode_from_samples(2, 3, support)
 
 
 class TestGeneration:
@@ -459,6 +471,42 @@ class TestResampleRegions:
         for k, draw_seed in ((1, 0), (2, 5), (2, 2**63 + 1)):
             expected = per_sample_resample(ep, k, jitter, draw_seed)
             assert np.array_equal(resample_regions(ep, k, jitter=jitter, seed=draw_seed), expected)
+
+    @given(data=st.data())
+    def test_loaded_draw_takes_distinct_own_rows_in_slot_order(self, data):
+        counts = data.draw(st.lists(st.integers(1, 9), min_size=2, max_size=8))
+        k = data.draw(st.integers(1, min(counts)))
+        ep = slot_tagged_episode(counts)
+        drawn = resample_regions(ep, k, jitter=0.0, seed=data.draw(st.integers(0, 2**64 - 1)))
+        assert drawn.shape == (len(counts), k, 3)
+        owner, slots = drawn[..., 0].astype(int), drawn[..., 1].astype(int)
+        assert np.array_equal(owner, np.repeat(np.arange(len(counts))[:, None], k, axis=1))
+        assert np.all(slots < np.array(counts)[:, None])
+        assert np.all(np.diff(slots, axis=1) > 0)  # no slot twice, ascending
+        assert np.array_equal(drawn, ep.regions[ep.region_offsets[:-1, None] + slots])
+
+    @given(count=st.integers(1, 6), n=st.integers(2, 6), seed=st.integers(0, 2**64 - 1))
+    def test_loaded_k_equal_to_every_count_returns_stored_rows(self, count, n, seed):
+        ep = slot_tagged_episode([count] * n)
+        drawn = resample_regions(ep, count, jitter=0.0, seed=seed)
+        assert np.array_equal(drawn.reshape(-1, 3), ep.regions)
+
+    def test_loaded_subsets_are_uniform(self):
+        counts, k, draws = (5, 3, 7), 2, 3000
+        ep = slot_tagged_episode(counts)
+        seen = [Counter() for _ in counts]
+        for seed in range(draws):
+            slots = resample_regions(ep, k, jitter=0.0, seed=seed)[..., 1].astype(int)
+            for pos, row in enumerate(slots.tolist()):
+                seen[pos][tuple(row)] += 1
+        for pos, count in enumerate(counts):
+            subsets = list(itertools.combinations(range(count), k))
+            observed = np.array([seen[pos][subset] for subset in subsets])
+            assert observed.sum() == draws
+            expected = draws / len(subsets)
+            statistic = float(((observed - expected) ** 2 / expected).sum())
+            # the 99.9th percentile of chi-square with len(subsets) - 1 degrees of freedom
+            assert statistic < stats.chi2.ppf(0.999, len(subsets) - 1)
 
     def test_synthetic_supports_larger_k(self):
         ep = make_episode(seed=8)
