@@ -30,7 +30,6 @@ from .errors import (
     EmptyClassError,
     InvalidParameterError,
     MissingWeightError,
-    OracleFailure,
     ParseError,
     SchemaError,
 )
@@ -69,7 +68,7 @@ __all__ = [
     "load_episode_file", "resample_regions", "save_episode_file",
     # errors
     "DegenerateVectorError", "DetaError", "DivergenceError", "EmptyClassError",
-    "InvalidParameterError", "MissingWeightError", "OracleFailure", "ParseError", "SchemaError",
+    "InvalidParameterError", "MissingWeightError", "ParseError", "SchemaError",
     # benchmark harness
     "ABLATION_PRESETS", "AggregateReport", "BenchmarkConfig", "EpisodeReport", "emit_report",
     "load_report_json", "run_benchmark",

@@ -11,13 +11,14 @@ Gradients are backpropagated by hand; weights never receive gradient.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .episodes import TaskEpisode, resample_regions
 from .errors import DegenerateVectorError, DivergenceError, InvalidParameterError
-from .losses import EmbeddingBatch, LossHyperparams, combined_loss
+from .losses import EmbeddingBatch, LossHyperparams, LossValue, combined_loss
 from .numerics import check_finite
 from .relevance import (
     ImageWeightAccumulator,
@@ -92,44 +93,62 @@ def head_forward(head: ProjectionHead, x: np.ndarray) -> tuple[np.ndarray, dict]
 
 def head_backward(
     head: ProjectionHead, cache: dict, d_out: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Backpropagate through normalization and both layers.
 
-    Returns parameter gradients and the gradient at the head's input.
+    Returns the parameter gradients, in ProjectionHead field order, and the
+    gradient at the head's input.
     """
     out, norms = cache["out"], cache["norms"]
     inner = (d_out * out).sum(axis=1, keepdims=True)
     d_pre2 = (d_out - inner * out) / norms[:, None]
-    grads = {
-        "head.w2": d_pre2.T @ cache["hidden"],
-        "head.b2": d_pre2.sum(axis=0),
-    }
-    d_hidden = d_pre2 @ head.w2
-    d_pre1 = d_hidden * (cache["pre1"] > 0.0)
-    grads["head.w1"] = d_pre1.T @ cache["x"]
-    grads["head.b1"] = d_pre1.sum(axis=0)
-    d_x = d_pre1 @ head.w1
-    return grads, d_x
+    d_pre1 = (d_pre2 @ head.w2) * (cache["pre1"] > 0.0)
+    d_w1, d_w2 = d_pre1.T @ cache["x"], d_pre2.T @ cache["hidden"]
+    return (d_w1, d_pre1.sum(axis=0), d_w2, d_pre2.sum(axis=0)), d_pre1 @ head.w1
 
 
-def sgd_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    learning_rate: float,
-    iteration: int = 0,
-) -> dict[str, np.ndarray]:
-    """One plain gradient-descent step: p <- p - lr * g, no momentum or decay."""
-    if learning_rate < 0.0:
-        raise InvalidParameterError("learning rate must be non-negative")
-    out = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise InvalidParameterError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {name}", iteration=iteration)
-        out[name] = p - learning_rate * g
-    return out
+def param_layout(d: int, hidden: int, embed: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter group, in the order of the flat parameter vector."""
+    return {"adapter.w": (d, d), "adapter.b": (d,), "head.w1": (hidden, d), "head.b1": (hidden,),
+            "head.w2": (embed, hidden), "head.b2": (embed,)}
+
+
+def _group_ends(layout: dict) -> np.ndarray:
+    return np.cumsum([math.prod(shape) for shape in layout.values()])
+
+
+def param_views(theta: np.ndarray, layout: dict) -> tuple[AdapterParams, ProjectionHead]:
+    """The adapter and the head as reshaped views of the flat parameter vector."""
+    parts = np.split(theta, _group_ends(layout)[:-1])
+    w, b, w1, b1, w2, b2 = map(np.reshape, parts, layout.values())
+    return AdapterParams(w, b), ProjectionHead(w1, b1, w2, b2)
+
+
+def flat_gradient(head, img_cache, reg_cache, loss: LossValue, x_img, x_reg) -> np.ndarray:
+    """Loss gradient over the flat parameters: the image rows' part plus the region rows' part.
+
+    x_img and x_reg are the raw adapter inputs of the rows in the two head caches.
+    """
+    head_img, da_img = head_backward(head, img_cache, loss.image_grads)
+    head_reg, da_reg = head_backward(head, reg_cache, loss.region_grads)
+    img = (*adapter_backward(x_img, da_img), *head_img)
+    reg = (*adapter_backward(x_reg, da_reg), *head_reg)
+    return np.concatenate([(gi + gr).ravel() for gi, gr in zip(img, reg)])
+
+
+def sgd_step(theta: np.ndarray, grad: np.ndarray, learning_rate: float, layout: dict, iteration=0):
+    """One plain gradient-descent step in place: theta <- theta - lr * grad, no momentum or decay.
+
+    A non-finite gradient raises DivergenceError naming the layout group of
+    its first bad entry.
+    """
+    if grad.shape != theta.shape:
+        raise InvalidParameterError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        group = int(np.searchsorted(_group_ends(layout), np.argmin(finite), side="right"))
+        raise DivergenceError(f"non-finite gradient for {list(layout)[group]}", iteration=iteration)
+    theta -= learning_rate * grad
 
 
 @dataclass(frozen=True)
@@ -160,7 +179,6 @@ class AdaptationConfig:
     embed_dim: int = 128
     jitter: float = 0.05  # region perturbation for episodes without a generative source
     ablation: AblationFlags = field(default_factory=AblationFlags)
-    record_weight_trace: bool = False
 
     def __post_init__(self):
         check_finite(learning_rate=self.learning_rate, jitter=self.jitter)
@@ -193,6 +211,7 @@ class AdaptedState:
     """Everything the inference stage needs after adaptation finished.
 
     The accumulator's omega follows support order; sample_ids names its entries.
+    weight_trace holds each iteration's region weight table and the omega its losses used.
     """
 
     adapter: AdapterParams
@@ -202,7 +221,7 @@ class AdaptedState:
     loss_trace: list[LossSummary]
     final_image_weights: dict[int, float]
     config: AdaptationConfig
-    weight_trace: list[dict] | None = None
+    weight_trace: list[tuple[RegionWeightTable, np.ndarray]]
 
     def to_dict(self) -> dict:
         return {
@@ -255,25 +274,6 @@ def _indented(obj, level: int = 0) -> str:
     return opening + inner + body + "\n" + "  " * level + closing
 
 
-def _params_of(adapter: AdapterParams, head: ProjectionHead) -> dict[str, np.ndarray]:
-    return {
-        "adapter.w": adapter.w,
-        "adapter.b": adapter.b,
-        "head.w1": head.w1,
-        "head.b1": head.b1,
-        "head.w2": head.w2,
-        "head.b2": head.b2,
-    }
-
-
-def _rebuild(params: dict[str, np.ndarray]) -> tuple[AdapterParams, ProjectionHead]:
-    adapter = AdapterParams(w=params["adapter.w"], b=params["adapter.b"])
-    head = ProjectionHead(
-        w1=params["head.w1"], b1=params["head.b1"], w2=params["head.w2"], b2=params["head.b2"]
-    )
-    return adapter, head
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     """Run the full adaptation loop on one episode.
@@ -294,8 +294,11 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     init_ss, iter_ss = base.spawn(2)
     iter_seeds = iter_ss.generate_state(cfg.iterations, dtype=np.uint64)
 
-    adapter = init_adapter(d)
-    head = init_head(d, d, cfg.embed_dim, np.random.default_rng(init_ss))
+    layout = param_layout(d, d, cfg.embed_dim)
+    adapter, head = init_adapter(d), init_head(d, d, cfg.embed_dim, np.random.default_rng(init_ss))
+    parts = (adapter.w, adapter.b, head.w1, head.b1, head.w2, head.b2)
+    theta = np.concatenate([p.ravel() for p in parts])
+    adapter, head = param_views(theta, layout)  # sgd_step updates theta, and so both, in place
     acc = ImageWeightAccumulator(momentum=cfg.momentum)
 
     sample_ids = tuple(episode.sample_ids.tolist())
@@ -305,8 +308,7 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     x_img = episode.support_features
 
     loss_trace: list[LossSummary] = []
-    weight_trace: list[dict] | None = [] if cfg.record_weight_trace else None
-    trace_order = sorted(range(n), key=sample_ids.__getitem__)
+    weight_trace: list[tuple[RegionWeightTable, np.ndarray]] = []
     train = ab.local_loss or ab.global_loss
 
     for t in range(1, cfg.iterations + 1):
@@ -324,8 +326,8 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
                 if ab.cora
                 else uniform_weight_table(sample_of, class_of)
             )
-            acc = accumulate_image_weights(acc, table)
             instantaneous = table.sample_means()
+            acc = accumulate_image_weights(acc, instantaneous)
             omega_used = acc.omega if ab.accumulator else instantaneous
 
             e_img, img_cache = head_forward(head, a_img)
@@ -347,49 +349,19 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
         if not np.isfinite(loss.combined):
             raise DivergenceError(f"non-finite loss {loss.combined}", iteration=t)
         loss_trace.append(LossSummary(t, loss.l_local, loss.l_global, loss.combined))
-
-        if weight_trace is not None:
-            phi, psi = table.per_class_phi.tolist(), table.per_class_psi.tolist()
-            lam, om = table.weights.tolist(), omega_used.tolist()
-            for pos in trace_order:
-                for slot in range(k):
-                    row = pos * k + slot
-                    weight_trace.append(
-                        {
-                            "iteration": t,
-                            "sample_id": sample_ids[pos],
-                            "region_slot": slot,
-                            "phi": phi[row],
-                            "psi": psi[row],
-                            "lambda": lam[row],
-                            "omega": om[pos],
-                        }
-                    )
+        weight_trace.append((table, omega_used))
 
         if train:
-            head_g_img, da_img = head_backward(head, img_cache, loss.image_grads)
-            head_g_reg, da_reg = head_backward(head, reg_cache, loss.region_grads)
-            dw_img, db_img = adapter_backward(x_img, da_img)
-            dw_reg, db_reg = adapter_backward(x_reg, da_reg)
-            grads = {
-                "adapter.w": dw_img + dw_reg,
-                "adapter.b": db_img + db_reg,
-                "head.w1": head_g_img["head.w1"] + head_g_reg["head.w1"],
-                "head.b1": head_g_img["head.b1"] + head_g_reg["head.b1"],
-                "head.w2": head_g_img["head.w2"] + head_g_reg["head.w2"],
-                "head.b2": head_g_img["head.b2"] + head_g_reg["head.b2"],
-            }
-            params = sgd_step(_params_of(adapter, head), grads, cfg.learning_rate, iteration=t)
-            adapter, head = _rebuild(params)
+            grad = flat_gradient(head, img_cache, reg_cache, loss, x_img, x_reg)
+            sgd_step(theta, grad, cfg.learning_rate, layout, iteration=t)
 
-    final = acc.omega if ab.accumulator else instantaneous
     return AdaptedState(
         adapter=adapter,
         head=head,
         accumulator=acc,
         sample_ids=sample_ids,
         loss_trace=loss_trace,
-        final_image_weights=dict(zip(sample_ids, final.tolist())),
+        final_image_weights=dict(zip(sample_ids, omega_used.tolist())),
         config=cfg,
         weight_trace=weight_trace,
     )

@@ -52,30 +52,38 @@ def classify(queries, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(scores, axis=1), scores
 
 
+def adapted_features(state: AdaptedState, *blocks) -> list[np.ndarray]:
+    """The state's adapter applied to each block of raw feature rows.
+
+    Outputs that are not finite, or whose squared norms overflow, raise
+    DivergenceError at the state's last iteration: adapt_task checks its
+    outputs before each update, so only the last update is unchecked.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = [forward_features(state.adapter, x) for x in blocks]
+        finite = all(np.isfinite(np.einsum("ij,ij->i", x, x)).all() for x in out)
+    if not finite:
+        raise DivergenceError(
+            "adapted features are not finite or their norms overflow",
+            iteration=state.config.iterations,
+        )
+    return out
+
+
 def predict(episode: TaskEpisode, state: AdaptedState | None = None) -> np.ndarray:
     """Predicted class of every query, in query order.
 
     With a state, centroids are omega-weighted class means of the adapted
-    support features and queries are adapted too; without one, this is the
-    plain unweighted nearest-centroid on the raw features. Adapted features
-    that are not finite, or whose squared norms overflow, raise
-    DivergenceError at the state's last iteration.
+    support features and queries are adapted too (see adapted_features);
+    without one, this is the plain unweighted nearest-centroid on the raw
+    features.
     """
     if not episode.query_labels.size:
         raise InvalidParameterError("episode has no query samples")
     support, queries = episode.support_features, episode.query_features
     omega = np.ones(episode.n_support)
     if state is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            support = forward_features(state.adapter, support)
-            queries = forward_features(state.adapter, queries)
-            finite = all(np.isfinite(np.einsum("ij,ij->i", x, x)).all() for x in (support, queries))
-        if not finite:
-            # adapt_task checks its outputs before each update, so only the last update is unchecked.
-            raise DivergenceError(
-                "adapted features are not finite or their norms overflow",
-                iteration=state.config.iterations,
-            )
+        support, queries = adapted_features(state, support, queries)
         omega = np.array([state.final_image_weights[sid] for sid in episode.sample_ids.tolist()])
     return classify(queries, build_classifier(support, episode.labels, omega, way=episode.way))[0]
 

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .adaptation import AdaptationConfig, adapt_task
-from .classifier import evaluate, plain_ncc_accuracy
+from .classifier import adapted_features, evaluate, plain_ncc_accuracy
 from .episodes import (
     SyntheticNoiseConfig,
     generate_synthetic_episode,
@@ -67,7 +67,7 @@ def _add_adaptation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7)
 
 
-def _adaptation_config(args, record_trace: bool = False) -> AdaptationConfig:
+def _adaptation_config(args) -> AdaptationConfig:
     return AdaptationConfig(
         iterations=args.iterations,
         learning_rate=args.lr,
@@ -77,7 +77,6 @@ def _adaptation_config(args, record_trace: bool = False) -> AdaptationConfig:
         seed=args.seed,
         embed_dim=args.embed_dim,
         jitter=args.jitter,
-        record_weight_trace=record_trace,
     )
 
 
@@ -171,9 +170,11 @@ def _show(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def _load_and_adapt(args, record_trace: bool = False):
+def _load_and_adapt(args):
     episode = load_episode_file(args.episode)
-    return episode, adapt_task(episode, _adaptation_config(args, record_trace))
+    state = adapt_task(episode, _adaptation_config(args))
+    adapted_features(state, episode.support_features)  # raises if the last update blew up
+    return episode, state
 
 
 def _cmd_adapt(args) -> int:
@@ -188,15 +189,19 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    _, state = _load_and_adapt(args, record_trace=True)
-    # Integers and float reprs never need CSV quoting, so these are csv.writer's bytes.
-    rows = "".join(
-        f"{r['iteration']},{r['sample_id']},{r['region_slot']},"
-        f"{r['phi']!r},{r['psi']!r},{r['lambda']!r},{r['omega']!r}\n"
-        for r in state.weight_trace or []
-    )
+    _, state = _load_and_adapt(args)
+    k, ids = args.k_regions, state.sample_ids
+    order = sorted(range(len(ids) * k), key=lambda row: ids[row // k])  # by sample id, then slot
+    lines = ["iteration,sample_id,region_slot,phi,psi,lambda,omega\n"]
+    for t, (table, omega) in enumerate(state.weight_trace, start=1):
+        columns = (table.per_class_phi, table.per_class_psi, table.weights, omega)
+        phi, psi, lam, om = (c.tolist() for c in columns)
+        # Integers and float reprs never need CSV quoting, so these are csv.writer's bytes.
+        lines.extend(
+            f"{t},{ids[r // k]},{r % k},{phi[r]!r},{psi[r]!r},{lam[r]!r},{om[r // k]!r}\n" for r in order
+        )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,sample_id,region_slot,phi,psi,lambda,omega\n" + rows)
+        fh.write("".join(lines))
     print(f"weight trace written to {args.out}")
     return EXIT_OK
 

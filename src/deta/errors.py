@@ -13,10 +13,6 @@ class DegenerateVectorError(DetaError, ValueError):
     """A zero-norm vector was passed where a direction is required."""
 
 
-class OracleFailure(DetaError, ArithmeticError):
-    """The finite-difference oracle evaluated the target to a non-finite value."""
-
-
 class ParseError(DetaError, ValueError):
     """An episode file is not valid JSON."""
 

@@ -1,19 +1,17 @@
 """Dense-vector primitives used throughout the pipeline.
 
-Everything runs in double precision. Analytic gradients elsewhere in the
-package are validated against the central finite-difference oracle defined
-here, so the helpers are deliberately strict about degenerate inputs.
+Everything runs in double precision. The analytic gradients of the package
+are validated against a central finite-difference oracle in the tests, so
+the helpers are deliberately strict about degenerate inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyClassError, InvalidParameterError, OracleFailure
+from .errors import EmptyClassError, InvalidParameterError
 
 
 def check_finite(**knobs: float) -> None:
@@ -81,46 +79,3 @@ def segment_mean(rows, segment_of, n_segments: int, weights=None) -> tuple[np.nd
     if weights is not None:
         mat = np.asarray(weights, dtype=np.float64)[:, None] * mat
     return segment_sum(mat, segment_of, n_segments) / counts[:, None], counts
-
-
-@dataclass(frozen=True)
-class GradCheckConfig:
-    """Step size and tolerances for central-difference gradient checks."""
-
-    step: float = 1e-5
-    rel_tol: float = 1e-4
-    abs_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.step <= 0.0:
-            raise InvalidParameterError("finite-difference step must be positive")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise InvalidParameterError("gradient-check tolerances must be positive")
-
-
-def finite_difference_gradient(
-    f: Callable[[np.ndarray], float],
-    params,
-    cfg: GradCheckConfig = GradCheckConfig(),
-) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function.
-
-    Evaluates (f(p + h*e_i) - f(p - h*e_i)) / (2h) per coordinate. This is
-    the reference oracle for every analytic gradient in the package and must
-    stay independent of the code paths it checks.
-    """
-    p = _as_vector(params, "params")
-    h = cfg.step
-    grad = np.empty_like(p)
-    for i in range(p.size):
-        probe = p.copy()
-        probe[i] = p[i] + h
-        hi = float(f(probe))
-        probe[i] = p[i] - h
-        lo = float(f(probe))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise OracleFailure(
-                f"objective non-finite while probing coordinate {i}: f+={hi}, f-={lo}"
-            )
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad

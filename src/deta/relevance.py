@@ -157,15 +157,17 @@ class ImageWeightAccumulator:
 
 
 def accumulate_image_weights(
-    acc: ImageWeightAccumulator, table: RegionWeightTable
+    acc: ImageWeightAccumulator, means: np.ndarray
 ) -> ImageWeightAccumulator:
-    """Fold one iteration's region weights into the image-weight accumulator."""
-    means = table.sample_means()
+    """Fold one iteration's mean region weight per sample into the image-weight accumulator.
+
+    means is RegionWeightTable.sample_means() of that iteration's table.
+    """
     if acc.iteration == 0:
         omega = means
     elif means.shape != acc.omega.shape:
         raise MissingWeightError(
-            f"weight table covers {means.size} samples, accumulator holds {acc.omega.size}"
+            f"region weights cover {means.size} samples, accumulator holds {acc.omega.size}"
         )
     else:
         g = acc.momentum

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from deta.episodes import (
     _SyntheticSource,
     _unit_directions,
 )
+from deta.errors import InvalidParameterError
 from deta.losses import EmbeddingBatch
-from deta.numerics import GradCheckConfig, finite_difference_gradient
 from deta.relevance import RegionIndex
 
 
@@ -300,6 +301,51 @@ def per_sample_resample(episode, k: int, jitter: float, seed: int) -> np.ndarray
                 regions[slots] = src.distractor_mean + src.sigma * rng.standard_normal((n_dist, d))
             out[pos] = regions
     return out
+
+
+class OracleFailure(ArithmeticError):
+    """The finite-difference oracle evaluated the target to a non-finite value."""
+
+
+@dataclass(frozen=True)
+class GradCheckConfig:
+    """Step size and tolerances for central-difference gradient checks."""
+
+    step: float = 1e-5
+    rel_tol: float = 1e-4
+    abs_tol: float = 1e-7
+
+    def __post_init__(self):
+        if self.step <= 0.0:
+            raise InvalidParameterError("finite-difference step must be positive")
+        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+            raise InvalidParameterError("gradient-check tolerances must be positive")
+
+
+def finite_difference_gradient(f, params, cfg: GradCheckConfig = GradCheckConfig()) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function.
+
+    Evaluates (f(p + h*e_i) - f(p - h*e_i)) / (2h) per coordinate. This is
+    the reference oracle for every analytic gradient in the package and must
+    stay independent of the code paths it checks.
+    """
+    p = np.asarray(params, dtype=np.float64)
+    if p.ndim != 1 or not np.all(np.isfinite(p)):
+        raise InvalidParameterError(f"params must be a finite 1-D vector, got shape {p.shape}")
+    h = cfg.step
+    grad = np.empty_like(p)
+    for i in range(p.size):
+        probe = p.copy()
+        probe[i] = p[i] + h
+        hi = float(f(probe))
+        probe[i] = p[i] - h
+        lo = float(f(probe))
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise OracleFailure(
+                f"objective non-finite while probing coordinate {i}: f+={hi}, f-={lo}"
+            )
+        grad[i] = (hi - lo) / (2.0 * h)
+    return grad
 
 
 def fd_matches(f, params, analytic, cfg: GradCheckConfig = GradCheckConfig()) -> tuple[bool, float]:

@@ -17,9 +17,8 @@ from deta.adaptation import (
     AdapterParams,
     ProjectionHead,
     adapt_task,
-    adapter_backward,
+    flat_gradient,
     forward_features,
-    head_backward,
     head_forward,
     init_adapter,
     init_head,
@@ -35,7 +34,6 @@ from deta.losses import (
     global_dispersion_loss,
     local_compactness_loss,
 )
-from deta.numerics import GradCheckConfig, finite_difference_gradient
 from deta.relevance import (
     ImageWeightAccumulator,
     RegionIndex,
@@ -44,9 +42,11 @@ from deta.relevance import (
     region_weights,
 )
 from oracles import (
+    GradCheckConfig,
     brute_local_loss,
     brute_region_weights,
     flatten_embeddings,
+    finite_difference_gradient,
     flatten_grads,
     make_instance,
     rebuild_batch,
@@ -137,24 +137,6 @@ def _pipeline_loss(x, r, keys, labels, lam, omega, adapter, head, embed):
     return loss, batch, img_cache, reg_cache
 
 
-def _pipeline_param_grads(x, r, keys, labels, lam, omega, adapter, head, embed):
-    loss, batch, img_cache, reg_cache = _pipeline_loss(
-        x, r, keys, labels, lam, omega, adapter, head, embed
-    )
-    head_g_img, da_img = head_backward(head, img_cache, loss.image_grads)
-    head_g_reg, da_reg = head_backward(head, reg_cache, loss.region_grads)
-    dw_img, db_img = adapter_backward(x, da_img)
-    dw_reg, db_reg = adapter_backward(r, da_reg)
-    return loss.combined, {
-        "adapter.w": dw_img + dw_reg,
-        "adapter.b": db_img + db_reg,
-        "head.w1": head_g_img["head.w1"] + head_g_reg["head.w1"],
-        "head.b1": head_g_img["head.b1"] + head_g_reg["head.b1"],
-        "head.w2": head_g_img["head.w2"] + head_g_reg["head.w2"],
-        "head.b2": head_g_img["head.b2"] + head_g_reg["head.b2"],
-    }
-
-
 def test_criterion_1_gradient_suite():
     with criterion(1, "gradient suite"):
         started = time.monotonic()
@@ -216,7 +198,10 @@ def test_criterion_1_gradient_suite():
 
         for trial in range(12):
             x, r, keys, labels, lam, omega, adapter, head, (d, hidden, embed) = _random_pipeline(rng)
-            _, grads = _pipeline_param_grads(x, r, keys, labels, lam, omega, adapter, head, embed)
+            loss, _, img_cache, reg_cache = _pipeline_loss(
+                x, r, keys, labels, lam, omega, adapter, head, embed
+            )
+            grad = flat_gradient(head, img_cache, reg_cache, loss, x, r)
 
             def f_adapter(vec, head=head):
                 probe = AdapterParams(w=vec[: d * d].reshape(d, d), b=vec[d * d :])
@@ -224,13 +209,15 @@ def test_criterion_1_gradient_suite():
                 return loss.combined
 
             packed = np.concatenate([adapter.w.ravel(), adapter.b])
-            analytic = np.concatenate([grads["adapter.w"].ravel(), grads["adapter.b"]])
-            _fd_ok(f_adapter, packed, analytic)
+            _fd_ok(f_adapter, packed, grad[: packed.size])
             instances += 1
 
         for trial in range(12):
             x, r, keys, labels, lam, omega, adapter, head, (d, hidden, embed) = _random_pipeline(rng)
-            _, grads = _pipeline_param_grads(x, r, keys, labels, lam, omega, adapter, head, embed)
+            loss, _, img_cache, reg_cache = _pipeline_loss(
+                x, r, keys, labels, lam, omega, adapter, head, embed
+            )
+            grad = flat_gradient(head, img_cache, reg_cache, loss, x, r)
             shapes = [(hidden, d), (hidden,), (embed, hidden), (embed,)]
             sizes = [int(np.prod(s)) for s in shapes]
 
@@ -241,10 +228,7 @@ def test_criterion_1_gradient_suite():
                 return loss.combined
 
             packed = np.concatenate([head.w1.ravel(), head.b1, head.w2.ravel(), head.b2])
-            analytic = np.concatenate(
-                [grads["head.w1"].ravel(), grads["head.b1"], grads["head.w2"].ravel(), grads["head.b2"]]
-            )
-            _fd_ok(f_head, packed, analytic)
+            _fd_ok(f_head, packed, grad[d * d + d :])
             instances += 1
 
         elapsed = time.monotonic() - started
@@ -295,17 +279,17 @@ def test_criterion_3_accumulator_law():
             )
 
         acc = accumulate_image_weights(
-            ImageWeightAccumulator(momentum=0.7), table({0: (0.4, 0.6)})
+            ImageWeightAccumulator(momentum=0.7), table({0: (0.4, 0.6)}).sample_means()
         )
         assert acc.omega[0] == 0.5
 
-        acc = accumulate_image_weights(acc, table({0: (1.0, 1.0)}))
+        acc = accumulate_image_weights(acc, table({0: (1.0, 1.0)}).sample_means())
         assert abs(acc.omega[0] - (0.7 * 0.5 + 0.3 * 1.0)) < 1e-15
 
         acc = ImageWeightAccumulator(momentum=0.7)
         stream = table({0: (1.75, 3.25)})  # mean 2.5
         for _ in range(200):
-            acc = accumulate_image_weights(acc, stream)
+            acc = accumulate_image_weights(acc, stream.sample_means())
         assert abs(acc.omega[0] - 2.5) < 1e-6
         assert acc.iteration == 200
 

@@ -15,6 +15,7 @@ from deta.adaptation import (
     head_forward,
     init_adapter,
     init_head,
+    param_layout,
     sgd_step,
 )
 from deta.classifier import build_classifier, classify, evaluate
@@ -108,9 +109,7 @@ class TestProjectionHead:
 
         out, cache = head_forward(head, x)
         grads, _ = head_backward(head, cache, probe)
-        analytic = np.concatenate(
-            [grads["head.w1"].ravel(), grads["head.b1"], grads["head.w2"].ravel(), grads["head.b2"]]
-        )
+        analytic = np.concatenate([g.ravel() for g in grads])
         packed = np.concatenate([head.w1.ravel(), head.b1, head.w2.ravel(), head.b2])
         ok, worst = fd_matches(f, packed, analytic)
         assert ok, f"worst tolerance ratio {worst}"
@@ -132,30 +131,47 @@ class TestProjectionHead:
 
 
 class TestSgdStep:
+    LAYOUT = {"p": (2,)}
+
     def test_zero_learning_rate_is_identity(self):
-        params = {"p": np.array([1.0, 2.0])}
-        out = sgd_step(params, {"p": np.array([3.0, -4.0])}, 0.0)
-        assert np.array_equal(out["p"], params["p"])
+        theta = np.array([1.0, 2.0])
+        sgd_step(theta, np.array([3.0, -4.0]), 0.0, self.LAYOUT)
+        assert np.array_equal(theta, [1.0, 2.0])
 
     def test_arithmetic(self):
-        out = sgd_step({"p": np.array([1.0])}, {"p": np.array([2.0])}, 0.1)
-        assert out["p"][0] == pytest.approx(0.8, abs=1e-15)
+        theta = np.array([1.0])
+        sgd_step(theta, np.array([2.0]), 0.1, {"p": (1,)})
+        assert theta[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_two_small_steps_equal_one_double_step_on_linear_loss(self):
-        params = {"p": np.array([1.0, -0.5])}
-        grad = {"p": np.array([0.5, 0.25])}
-        twice = sgd_step(sgd_step(params, grad, 0.25), grad, 0.25)
-        once = sgd_step(params, grad, 0.5)
-        assert np.array_equal(twice["p"], once["p"])
+        twice, once = np.array([1.0, -0.5]), np.array([1.0, -0.5])
+        grad = np.array([0.5, 0.25])
+        sgd_step(twice, grad, 0.25, self.LAYOUT)
+        sgd_step(twice, grad, 0.25, self.LAYOUT)
+        sgd_step(once, grad, 0.5, self.LAYOUT)
+        assert np.array_equal(twice, once)
 
     def test_non_finite_gradient(self):
         with pytest.raises(DivergenceError) as exc:
-            sgd_step({"p": np.ones(2)}, {"p": np.array([1.0, np.inf])}, 0.1, iteration=7)
+            sgd_step(np.ones(2), np.array([1.0, np.inf]), 0.1, self.LAYOUT, iteration=7)
         assert exc.value.iteration == 7
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            sgd_step({"p": np.ones(2)}, {"p": np.ones(3)}, 0.1)
+            sgd_step(np.ones(2), np.ones(3), 0.1, self.LAYOUT)
+
+    @pytest.mark.parametrize("group", range(6))
+    def test_non_finite_entry_names_its_group(self, group):
+        layout = param_layout(3, 4, 2)
+        sizes = [int(np.prod(shape)) for shape in layout.values()]
+        theta = np.ones(sum(sizes))
+        grad = np.zeros_like(theta)
+        last = sum(sizes[: group + 1]) - 1  # the group's last entry; later groups are bad too
+        grad[last:] = np.nan
+        with pytest.raises(DivergenceError, match=f"for {list(layout)[group]}$") as exc:
+            sgd_step(theta, grad, 0.1, layout, iteration=5)
+        assert exc.value.iteration == 5
+        assert np.array_equal(theta, np.ones_like(theta))
 
 
 class TestAdaptTask:
@@ -285,13 +301,15 @@ class TestAdaptTask:
 
     def test_weight_trace_recording(self):
         ep = small_episode(seed=3)
-        state = adapt_task(ep, fast_cfg(iterations=4, record_weight_trace=True))
-        rows = state.weight_trace
-        assert rows is not None
-        assert len(rows) == 4 * ep.n_support * 2
-        assert {r["iteration"] for r in rows} == {1, 2, 3, 4}
-        first = rows[0]
-        assert set(first) == {"iteration", "sample_id", "region_slot", "phi", "psi", "lambda", "omega"}
+        state = adapt_task(ep, fast_cfg(iterations=4))
+        trace = state.weight_trace
+        assert trace is not None
+        assert sum(table.weights.size for table, _ in trace) == 4 * ep.n_support * 2
+        assert len(trace) == 4
+        for table, omega in trace:
+            assert table.per_class_phi.shape == table.per_class_psi.shape == (ep.n_support * 2,)
+            assert omega.shape == (ep.n_support,)
+        assert np.array_equal(trace[-1][1], state.accumulator.omega)
 
     def test_state_serialization(self, tmp_path):
         ep = small_episode(seed=3)

@@ -142,8 +142,32 @@ class TestAdapt:
         assert "diverged at iteration 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_blown_up_last_step_without_queries_is_divergence(self, tmp_path, capsys):
+        # nothing is scored, so only the check on the adapted support features sees the update
+        episode, out = tmp_path / "episode.json", tmp_path / "s.json"
+        assert run(["gen", "--query-shot", "0", "--out", str(episode)]) == 0
+        args = ["adapt", "--episode", str(episode), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(args + ["--lr", "1e300", "--iterations", "1"])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 3
+        assert "diverged at iteration 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWeights:
+    def test_blown_up_last_step_is_divergence(self, tmp_path, capsys, episode_file):
+        out = tmp_path / "weights.csv"
+        args = ["weights", "--episode", str(episode_file), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(args + ["--lr", "1e300", "--iterations", "1"])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 3
+        assert "diverged at iteration 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_csv(self, tmp_path, episode_file):
         out = tmp_path / "weights.csv"
         code = run(
@@ -167,15 +191,19 @@ class TestWeights:
         argv = ["--iterations", "3", "--embed-dim", "16", "--seed", "4"]
         assert run(["weights", "--episode", str(episode_file), "--out", str(out)] + argv) == 0
         args = build_parser().parse_args(["weights", "--episode", "-", "--out", "-"] + argv)
-        state = adapt_task(load_episode_file(episode_file), _adaptation_config(args, True))
+        state = adapt_task(load_episode_file(episode_file), _adaptation_config(args))
+        k = state.config.k_regions
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(["iteration", "sample_id", "region_slot", "phi", "psi", "lambda", "omega"])
-        for row in state.weight_trace:
-            writer.writerow(
-                [row["iteration"], row["sample_id"], row["region_slot"]]
-                + [repr(row[key]) for key in ("phi", "psi", "lambda", "omega")]
-            )
+        for t, (table, omega) in enumerate(state.weight_trace, start=1):
+            for sid, pos in sorted((sid, pos) for pos, sid in enumerate(state.sample_ids)):
+                for slot in range(k):
+                    row = pos * k + slot
+                    columns = (table.per_class_phi, table.per_class_psi, table.weights)
+                    writer.writerow(
+                        [t, sid, slot] + [repr(float(c[row])) for c in columns] + [repr(float(omega[pos]))]
+                    )
         assert out.read_bytes() == reference.getvalue().encode("utf-8")
 
     def test_trace_rows_follow_sample_id_order(self, tmp_path, episode_file):

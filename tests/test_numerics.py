@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deta.errors import InvalidParameterError, OracleFailure
-from deta.numerics import (
-    GradCheckConfig,
-    finite_difference_gradient,
-    segment_sum,
-    softmax,
-)
+from deta.errors import InvalidParameterError
+from deta.numerics import segment_sum, softmax
+from oracles import GradCheckConfig, OracleFailure, finite_difference_gradient
+
 
 class TestSoftmax:
     def test_constant_scores_uniform(self):

@@ -193,13 +193,15 @@ class TestAccumulator:
         return RegionWeightTable(np.array(lams), ones, ones, sample_of, np.zeros(len(means), dtype=int))
 
     def test_first_update_is_mean(self):
-        acc = accumulate_image_weights(ImageWeightAccumulator(), self._table({0: (0.4, 0.6)}))
+        acc = accumulate_image_weights(
+            ImageWeightAccumulator(), self._table({0: (0.4, 0.6)}).sample_means()
+        )
         assert acc.omega[0] == pytest.approx(0.5, abs=1e-15)
         assert acc.iteration == 1
 
     def test_second_update_blends(self):
         acc = ImageWeightAccumulator(momentum=0.7, omega=np.array([0.5]), iteration=1)
-        acc = accumulate_image_weights(acc, self._table({0: (1.0, 1.0)}))
+        acc = accumulate_image_weights(acc, self._table({0: (1.0, 1.0)}).sample_means())
         assert acc.omega[0] == pytest.approx(0.65, abs=1e-15)
         assert acc.iteration == 2
 
@@ -207,28 +209,32 @@ class TestAccumulator:
         acc = ImageWeightAccumulator(momentum=0.7)
         table = self._table({0: (2.5, 2.5), 1: (0.3, 0.7)})
         for _ in range(200):
-            acc = accumulate_image_weights(acc, table)
+            acc = accumulate_image_weights(acc, table.sample_means())
         assert abs(acc.omega[0] - 2.5) < 1e-6
         assert abs(acc.omega[1] - 0.5) < 1e-6
 
     def test_geometric_convergence_rate(self):
-        acc = accumulate_image_weights(ImageWeightAccumulator(momentum=0.7), self._table({0: (0.0,)}))
+        acc = accumulate_image_weights(
+            ImageWeightAccumulator(momentum=0.7), self._table({0: (0.0,)}).sample_means()
+        )
         target = self._table({0: (1.0,)})
         for t in range(1, 6):
-            acc = accumulate_image_weights(acc, target)
+            acc = accumulate_image_weights(acc, target.sample_means())
             assert acc.omega[0] == pytest.approx(1.0 - 0.7**t, abs=1e-12)
 
     def test_missing_sample_raises(self):
         acc = accumulate_image_weights(
-            ImageWeightAccumulator(), self._table({0: (1.0,), 1: (1.0,)})
+            ImageWeightAccumulator(), self._table({0: (1.0,), 1: (1.0,)}).sample_means()
         )
         with pytest.raises(MissingWeightError):
-            accumulate_image_weights(acc, self._table({0: (1.0,)}))
+            accumulate_image_weights(acc, self._table({0: (1.0,)}).sample_means())
 
     def test_unknown_sample_raises(self):
-        acc = accumulate_image_weights(ImageWeightAccumulator(), self._table({0: (1.0,)}))
+        acc = accumulate_image_weights(
+            ImageWeightAccumulator(), self._table({0: (1.0,)}).sample_means()
+        )
         with pytest.raises(MissingWeightError):
-            accumulate_image_weights(acc, self._table({0: (1.0,), 1: (1.0,)}))
+            accumulate_image_weights(acc, self._table({0: (1.0,), 1: (1.0,)}).sample_means())
 
     def test_bad_momentum(self):
         with pytest.raises(InvalidParameterError):
@@ -250,7 +256,7 @@ class TestNoiseSeparation:
             for t in range(10):
                 drawn = resample_regions(ep, 2, jitter=0.0, seed=97 * i + t)
                 table = region_weights(drawn.reshape(-1, ep.feature_dim), sample_of, class_of)
-                acc = accumulate_image_weights(acc, table)
+                acc = accumulate_image_weights(acc, table.sample_means())
             tags = ep.noise
             clean = [w for w, tag in zip(acc.omega, tags) if tag == "clean"]
             noisy = [w for w, tag in zip(acc.omega, tags) if tag == "label_noisy"]
