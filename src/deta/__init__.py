@@ -51,7 +51,6 @@ from .losses import (
     local_compactness_loss,
 )
 from .relevance import (
-    ImageWeightAccumulator,
     RegionWeightTable,
     accumulate_image_weights,
     region_weights,
@@ -76,6 +75,5 @@ __all__ = [
     "EmbeddingBatch", "LossHyperparams", "LossValue", "combined_loss", "global_dispersion_loss",
     "local_compactness_loss",
     # relevance
-    "ImageWeightAccumulator", "RegionWeightTable", "accumulate_image_weights", "region_weights",
-    "uniform_weight_table",
+    "RegionWeightTable", "accumulate_image_weights", "region_weights", "uniform_weight_table",
 ]

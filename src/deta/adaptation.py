@@ -3,7 +3,7 @@
 The trainable surface is a residual linear adapter over the raw features
 plus a two-layer projection head whose output is unit-normalized. Each
 iteration redraws regions, recomputes relevance weights on the adapter's
-region features, refreshes the image-weight accumulator, evaluates the
+region features, refreshes the momentum-smoothed image weights, evaluates the
 combined loss on the projected embeddings and takes one plain SGD step.
 Gradients are backpropagated by hand; weights never receive gradient.
 """
@@ -21,7 +21,6 @@ from .errors import DegenerateVectorError, DivergenceError, InvalidParameterErro
 from .losses import EmbeddingBatch, LossHyperparams, LossValue, combined_loss
 from .numerics import check_finite
 from .relevance import (
-    ImageWeightAccumulator,
     RegionWeightTable,
     accumulate_image_weights,
     region_weights,
@@ -210,16 +209,19 @@ class LossSummary:
 class AdaptedState:
     """Everything the inference stage needs after adaptation finished.
 
-    The accumulator's omega follows support order; sample_ids names its entries.
-    weight_trace holds each iteration's region weight table and the omega its losses used.
+    omega (the momentum-smoothed image weights) and final_image_weights (the
+    image weights the last iteration's losses used, which predict uses) are
+    (n,) arrays in support order; sample_ids names their entries. weight_trace
+    holds each iteration's region weight table and the image weights its
+    losses used.
     """
 
     adapter: AdapterParams
     head: ProjectionHead
-    accumulator: ImageWeightAccumulator
+    omega: np.ndarray
     sample_ids: tuple[int, ...]
     loss_trace: list[LossSummary]
-    final_image_weights: dict[int, float]
+    final_image_weights: np.ndarray
     config: AdaptationConfig
     weight_trace: list[tuple[RegionWeightTable, np.ndarray]]
 
@@ -232,11 +234,9 @@ class AdaptedState:
                 "w2": self.head.w2.tolist(),
                 "b2": self.head.b2.tolist(),
             },
-            "omega": {
-                str(k): v for k, v in sorted(zip(self.sample_ids, self.accumulator.omega.tolist()))
-            },
-            "final_image_weights": {str(k): v for k, v in sorted(self.final_image_weights.items())},
-            "iterations": self.accumulator.iteration,
+            "omega": by_sample_id(self.sample_ids, self.omega),
+            "final_image_weights": by_sample_id(self.sample_ids, self.final_image_weights),
+            "iterations": self.config.iterations,
             "loss_trace": [
                 {"iteration": t.iteration, "local": t.l_local, "global": t.l_global, "combined": t.combined}
                 for t in self.loss_trace
@@ -247,6 +247,11 @@ class AdaptedState:
         """Write to_dict() as json.dump(..., indent=2) would, plus a newline."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_indented(self.to_dict()) + "\n")
+
+
+def by_sample_id(sample_ids, values: np.ndarray) -> dict[str, float]:
+    """Support-order values keyed by str(sample id), in increasing id order."""
+    return {str(k): v for k, v in sorted(zip(sample_ids, values.tolist()))}
 
 
 def _indented(obj, level: int = 0) -> str:
@@ -299,7 +304,7 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     parts = (adapter.w, adapter.b, head.w1, head.b1, head.w2, head.b2)
     theta = np.concatenate([p.ravel() for p in parts])
     adapter, head = param_views(theta, layout)  # sgd_step updates theta, and so both, in place
-    acc = ImageWeightAccumulator(momentum=cfg.momentum)
+    omega = None
 
     sample_ids = tuple(episode.sample_ids.tolist())
     n = len(sample_ids)
@@ -327,8 +332,8 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
                 else uniform_weight_table(sample_of, class_of)
             )
             instantaneous = table.sample_means()
-            acc = accumulate_image_weights(acc, instantaneous)
-            omega_used = acc.omega if ab.accumulator else instantaneous
+            omega = accumulate_image_weights(omega, instantaneous, cfg.momentum)
+            omega_used = omega if ab.accumulator else instantaneous
 
             e_img, img_cache = head_forward(head, a_img)
             e_reg, reg_cache = head_forward(head, a_reg)
@@ -358,10 +363,10 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     return AdaptedState(
         adapter=adapter,
         head=head,
-        accumulator=acc,
+        omega=omega,
         sample_ids=sample_ids,
         loss_trace=loss_trace,
-        final_image_weights=dict(zip(sample_ids, omega_used.tolist())),
+        final_image_weights=omega_used,
         config=cfg,
         weight_trace=weight_trace,
     )

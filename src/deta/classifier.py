@@ -12,26 +12,16 @@ import numpy as np
 
 from .adaptation import AdaptedState, forward_features
 from .episodes import TaskEpisode
-from .errors import (
-    DegenerateVectorError,
-    DivergenceError,
-    EmptyClassError,
-    InvalidParameterError,
-)
+from .errors import DegenerateVectorError, DivergenceError, InvalidParameterError
 from .numerics import segment_mean
 
 
-def build_classifier(features, class_of, omega, way: int | None = None) -> np.ndarray:
+def build_classifier(features, class_of, omega, way: int) -> np.ndarray:
     """Weighted class centroids, (way, d): sum of omega-scaled member rows over member count.
 
     Row i of features is a support sample of class class_of[i] with image
-    weight omega[i]. Every class in [0, way) needs a member; way defaults to
-    one more than the largest class id.
+    weight omega[i]. Every class in [0, way) needs a member (EmptyClassError).
     """
-    class_of = np.asarray(class_of)
-    if class_of.size == 0:
-        raise EmptyClassError("no support features")
-    way = int(class_of.max()) + 1 if way is None else way
     return segment_mean(features, class_of, way, weights=omega)[0]
 
 
@@ -73,18 +63,22 @@ def adapted_features(state: AdaptedState, *blocks) -> list[np.ndarray]:
 def predict(episode: TaskEpisode, state: AdaptedState | None = None) -> np.ndarray:
     """Predicted class of every query, in query order.
 
-    With a state, centroids are omega-weighted class means of the adapted
-    support features and queries are adapted too (see adapted_features);
-    without one, this is the plain unweighted nearest-centroid on the raw
-    features.
+    With a state, centroids are class means of the adapted support features
+    scaled by the state's final image weights, and queries are adapted too
+    (see adapted_features). A state only scores the episode it was adapted
+    on: support sample ids that differ in content or order raise
+    InvalidParameterError. Without a state, this is the plain unweighted
+    nearest-centroid on the raw features.
     """
     if not episode.query_labels.size:
         raise InvalidParameterError("episode has no query samples")
     support, queries = episode.support_features, episode.query_features
     omega = np.ones(episode.n_support)
     if state is not None:
+        if not np.array_equal(state.sample_ids, episode.sample_ids):
+            raise InvalidParameterError("the state was adapted on other support sample ids")
         support, queries = adapted_features(state, support, queries)
-        omega = np.array([state.final_image_weights[sid] for sid in episode.sample_ids.tolist()])
+        omega = state.final_image_weights
     return classify(queries, build_classifier(support, episode.labels, omega, way=episode.way))[0]
 
 

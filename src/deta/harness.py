@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adaptation import AblationFlags, AdaptationConfig, adapt_task
+from .adaptation import AblationFlags, AdaptationConfig, adapt_task, by_sample_id
 from .classifier import evaluate, plain_ncc_accuracy
 from .episodes import (
     NOISE_CLEAN,
@@ -135,12 +135,12 @@ def _mean_ci(values: list[float]) -> tuple[float | None, float | None]:
     return mean, half
 
 
-def _separation(omega: dict[int, float], tags: dict[int, str]) -> float | None:
-    clean = [omega[sid] for sid, tag in tags.items() if tag == NOISE_CLEAN]
-    noisy = [omega[sid] for sid, tag in tags.items() if tag != NOISE_CLEAN]
-    if not clean or not noisy:
+def _separation(omega: np.ndarray, noise: np.ndarray) -> float | None:
+    """Mean image weight of clean samples minus that of noisy ones; both arrays in support order."""
+    clean = noise == NOISE_CLEAN
+    if clean.all() or not clean.any():
         return None
-    return float(np.mean(clean) - np.mean(noisy))
+    return float(np.mean(omega[clean]) - np.mean(omega[~clean]))
 
 
 def run_episode(cfg: BenchmarkConfig, ratio: float, ratio_index: int, index: int) -> EpisodeReport:
@@ -174,8 +174,8 @@ def run_episode(cfg: BenchmarkConfig, ratio: float, ratio_index: int, index: int
         report.failed = True
         report.error = f"diverged at iteration {exc.iteration}: {exc}"
         return report
-    report.omega = {str(k): float(v) for k, v in sorted(state.final_image_weights.items())}
-    report.omega_separation = _separation(state.final_image_weights, episode.noise_tags())
+    report.omega = by_sample_id(state.sample_ids, state.final_image_weights)
+    report.omega_separation = _separation(state.final_image_weights, episode.noise)
     if state.loss_trace:
         report.loss_first = state.loss_trace[0].combined
         report.loss_final = state.loss_trace[-1].combined

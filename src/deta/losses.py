@@ -53,13 +53,6 @@ class EmbeddingBatch:
     class_of: np.ndarray  # (n,)
     embed_dim: int = 128
 
-    def validate(self, atol: float = 1e-9) -> None:
-        for name, mat in (("image", self.image_embeddings), ("region", self.region_embeddings)):
-            if mat.ndim != 2 or mat.shape[1] != self.embed_dim:
-                raise InvalidParameterError(f"{name} embeddings have shape {mat.shape}")
-            if np.any(np.abs(np.linalg.norm(mat, axis=1) - 1.0) > atol):
-                raise InvalidParameterError(f"{name} embeddings are not unit norm")
-
 
 @dataclass
 class LossValue:

@@ -3,8 +3,8 @@
 Each support region is scored by how similar it is, on average, to regions
 of other samples in its class versus regions of other classes. The two score
 families are softmax-normalized inside each class and their ratio is the
-region weight. A per-image momentum accumulator smooths the mean region
-weight of each sample across adaptation iterations. The whole computation is
+region weight. The image weight of a sample is its mean region weight,
+smoothed across adaptation iterations with momentum. The relevance scores are
 parameter-free.
 
 Regions are rows of one array. sample_of[r] is the support position of the
@@ -14,7 +14,7 @@ at support position i, so the class of a region row is class_of[sample_of[r]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,19 +54,6 @@ class RegionWeightTable:
         n = len(self.class_of)
         sums = np.bincount(self.sample_of, weights=self.weights, minlength=n)
         return sums / np.bincount(self.sample_of, minlength=n)
-
-    def validate(self, atol: float = 1e-9) -> None:
-        region_class = self.class_of[self.sample_of]
-        classes = np.unique(region_class)
-        phi_sums = np.bincount(region_class, weights=self.per_class_phi)[classes]
-        psi_sums = np.bincount(region_class, weights=self.per_class_psi)[classes]
-        if np.any(np.abs(phi_sums - 1.0) > atol) or np.any(np.abs(psi_sums - 1.0) > atol):
-            raise InvalidParameterError(f"normalized scores per class sum to {phi_sums}, {psi_sums}")
-        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
-            raise InvalidParameterError("non-positive or non-finite region weight")
-        ratio = self.per_class_phi / self.per_class_psi
-        if np.any(np.abs(self.weights - ratio) > atol * np.maximum(1.0, np.abs(ratio))):
-            raise InvalidParameterError("weights are not phi/psi")
 
 
 def mean_relevance(features, sample_of, class_of) -> tuple[np.ndarray, np.ndarray]:
@@ -136,40 +123,19 @@ def uniform_weight_table(sample_of, class_of) -> RegionWeightTable:
     return RegionWeightTable(np.ones(len(class_ids)), uniform, uniform.copy(), sample_of, class_of)
 
 
-@dataclass(frozen=True, eq=False)
-class ImageWeightAccumulator:
-    """Momentum-smoothed per-sample image weights, one entry per support position.
-
-    The first update seeds each sample's weight with the mean of its region
-    weights; later updates blend the previous value with the new mean using
-    the momentum coefficient.
-    """
-
-    momentum: float = 0.7
-    omega: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    iteration: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.iteration < 0:
-            raise InvalidParameterError("iteration must be non-negative")
-
-
 def accumulate_image_weights(
-    acc: ImageWeightAccumulator, means: np.ndarray
-) -> ImageWeightAccumulator:
-    """Fold one iteration's mean region weight per sample into the image-weight accumulator.
+    omega: np.ndarray | None, means: np.ndarray, momentum: float
+) -> np.ndarray:
+    """Momentum-smoothed image weight per support sample after one more iteration.
 
-    means is RegionWeightTable.sample_means() of that iteration's table.
+    means is RegionWeightTable.sample_means() of that iteration's table and
+    omega the previous result, or None at the first iteration, which returns
+    means itself.
     """
-    if acc.iteration == 0:
-        omega = means
-    elif means.shape != acc.omega.shape:
+    if omega is None:
+        return means
+    if means.shape != omega.shape:
         raise MissingWeightError(
-            f"region weights cover {means.size} samples, accumulator holds {acc.omega.size}"
+            f"region weights cover {means.size} samples, accumulator holds {omega.size}"
         )
-    else:
-        g = acc.momentum
-        omega = g * acc.omega + (1.0 - g) * means
-    return ImageWeightAccumulator(momentum=acc.momentum, omega=omega, iteration=acc.iteration + 1)
+    return momentum * omega + (1.0 - momentum) * means

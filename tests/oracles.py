@@ -26,7 +26,7 @@ from deta.episodes import (
 )
 from deta.errors import InvalidParameterError
 from deta.losses import EmbeddingBatch
-from deta.relevance import RegionIndex
+from deta.relevance import RegionIndex, RegionWeightTable
 
 
 def _dot(a, b) -> float:
@@ -83,6 +83,22 @@ def brute_region_weights(features, sample_of, class_of) -> dict[str, list[float]
             psi_t[m] = math.exp(psi[m]) / psi_den
             lam[m] = phi_t[m] / psi_t[m]
     return {"phi": phi, "psi": psi, "phi_norm": phi_t, "psi_norm": psi_t, "lam": lam}
+
+
+def validate_weight_table(table: RegionWeightTable, atol: float = 1e-9) -> None:
+    """Raise InvalidParameterError unless the table's normalized scores sum to one per
+    class and its weights are positive, finite and equal to phi_norm / psi_norm."""
+    region_class = table.class_of[table.sample_of]
+    classes = np.unique(region_class)
+    phi_sums = np.bincount(region_class, weights=table.per_class_phi)[classes]
+    psi_sums = np.bincount(region_class, weights=table.per_class_psi)[classes]
+    if np.any(np.abs(phi_sums - 1.0) > atol) or np.any(np.abs(psi_sums - 1.0) > atol):
+        raise InvalidParameterError(f"normalized scores per class sum to {phi_sums}, {psi_sums}")
+    if not np.all((table.weights > 0.0) & np.isfinite(table.weights)):
+        raise InvalidParameterError("non-positive or non-finite region weight")
+    ratio = table.per_class_phi / table.per_class_psi
+    if np.any(np.abs(table.weights - ratio) > atol * np.maximum(1.0, np.abs(ratio))):
+        raise InvalidParameterError("weights are not phi/psi")
 
 
 def brute_local_loss(regions, weights, region_class, tau: float) -> float:
@@ -392,6 +408,16 @@ def make_instance(
         embed_dim=dim,
     )
     return batch, np.array(weights), np.array(omega)
+
+
+def validate_embedding_batch(batch: EmbeddingBatch, atol: float = 1e-9) -> None:
+    """Raise InvalidParameterError unless both embedding blocks are (rows, embed_dim)
+    and every row has unit norm."""
+    for name, mat in (("image", batch.image_embeddings), ("region", batch.region_embeddings)):
+        if mat.ndim != 2 or mat.shape[1] != batch.embed_dim:
+            raise InvalidParameterError(f"{name} embeddings have shape {mat.shape}")
+        if np.any(np.abs(np.linalg.norm(mat, axis=1) - 1.0) > atol):
+            raise InvalidParameterError(f"{name} embeddings are not unit norm")
 
 
 def flatten_embeddings(batch: EmbeddingBatch) -> np.ndarray:

@@ -35,7 +35,6 @@ from deta.losses import (
     local_compactness_loss,
 )
 from deta.relevance import (
-    ImageWeightAccumulator,
     RegionIndex,
     RegionWeightTable,
     accumulate_image_weights,
@@ -278,20 +277,17 @@ def test_criterion_3_accumulator_law():
                 np.array(lams), ones, ones, sample_of, np.zeros(len(mean_by_sample), dtype=int)
             )
 
-        acc = accumulate_image_weights(
-            ImageWeightAccumulator(momentum=0.7), table({0: (0.4, 0.6)}).sample_means()
-        )
-        assert acc.omega[0] == 0.5
+        omega = accumulate_image_weights(None, table({0: (0.4, 0.6)}).sample_means(), 0.7)
+        assert omega[0] == 0.5
 
-        acc = accumulate_image_weights(acc, table({0: (1.0, 1.0)}).sample_means())
-        assert abs(acc.omega[0] - (0.7 * 0.5 + 0.3 * 1.0)) < 1e-15
+        omega = accumulate_image_weights(omega, table({0: (1.0, 1.0)}).sample_means(), 0.7)
+        assert abs(omega[0] - (0.7 * 0.5 + 0.3 * 1.0)) < 1e-15
 
-        acc = ImageWeightAccumulator(momentum=0.7)
+        omega = None
         stream = table({0: (1.75, 3.25)})  # mean 2.5
         for _ in range(200):
-            acc = accumulate_image_weights(acc, stream.sample_means())
-        assert abs(acc.omega[0] - 2.5) < 1e-6
-        assert acc.iteration == 200
+            omega = accumulate_image_weights(omega, stream.sample_means(), 0.7)
+        assert abs(omega[0] - 2.5) < 1e-6
 
 
 def test_criterion_4_reduction_to_baseline():
@@ -309,10 +305,8 @@ def test_criterion_4_reduction_to_baseline():
             ones = np.ones(len(raw))
             plain = build_classifier(raw, labels, ones, way=episode.way)
 
-            omega = [state.final_image_weights[sid] for sid in episode.sample_ids.tolist()]
-            piped = build_classifier(
-                forward_features(state.adapter, raw), labels, omega, way=episode.way
-            )
+            adapted = forward_features(state.adapter, raw)
+            piped = build_classifier(adapted, labels, state.final_image_weights, way=episode.way)
 
             manual_state_protos = build_classifier(
                 forward_features(init_adapter(64), raw), labels, ones, way=episode.way

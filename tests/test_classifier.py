@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deta.adaptation import AblationFlags, AdaptationConfig, adapt_task
-from deta.classifier import build_classifier, classify, evaluate, plain_ncc_accuracy
+from deta.classifier import build_classifier, classify, evaluate, plain_ncc_accuracy, predict
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode
 from deta.errors import DegenerateVectorError, EmptyClassError, InvalidParameterError
 
@@ -69,7 +69,7 @@ class TestClassify:
     def test_matches_exhaustive_argmax(self):
         rng = np.random.default_rng(1)
         centroids = rng.standard_normal((5, 6))
-        protos = build_classifier(centroids, np.arange(5), np.ones(5))
+        protos = build_classifier(centroids, np.arange(5), np.ones(5), way=5)
         queries = rng.standard_normal((50, 6))
         pred, _ = classify(queries, protos)
         for q, p in zip(queries, pred):
@@ -122,6 +122,21 @@ class TestEvaluate:
         shifted = replace(ep, query_labels=(ep.query_labels + 1) % ep.way)
         assert evaluate(shifted, state) == 0.0
 
+    @pytest.mark.parametrize("change", ["other ids", "same ids reordered"])
+    def test_state_scores_only_the_support_it_was_adapted_on(self, change):
+        ep = generate_synthetic_episode(3, 3, 1, 8, SyntheticNoiseConfig(), seed=1, query_shot=2)
+        state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, seed=1))
+        if change == "other ids":
+            other = replace(ep, sample_ids=ep.sample_ids + 1000)
+        else:  # a faithful reordered copy: one stored region per sample moves with its sample
+            order = np.arange(ep.n_support)[::-1]
+            names = ("sample_ids", "labels", "true_labels", "noise", "support_features", "regions")
+            other = replace(ep, **{name: getattr(ep, name)[order] for name in names})
+        with pytest.raises(InvalidParameterError, match="other support sample ids"):
+            predict(other, state)
+        with pytest.raises(InvalidParameterError):
+            evaluate(other, state)
+
     def test_no_queries_rejected(self):
         ep = generate_synthetic_episode(3, 3, 1, 8, SyntheticNoiseConfig(), seed=1, query_shot=0)
         state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, seed=1))
@@ -134,7 +149,7 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         hits, total = 0, 0
         for _ in range(200):
-            protos = build_classifier(rng.standard_normal((5, 16)), np.arange(5), np.ones(5))
+            protos = build_classifier(rng.standard_normal((5, 16)), np.arange(5), np.ones(5), way=5)
             truth = np.repeat(np.arange(5), 10)
             hits += int(np.sum(classify(rng.standard_normal((50, 16)), protos)[0] == truth))
             total += truth.size
@@ -154,5 +169,5 @@ class TestEvaluate:
                     seed=seed,
                 ),
             )
-            assert state.final_image_weights == dict.fromkeys(range(ep.n_support), 1.0)
+            assert np.array_equal(state.final_image_weights, np.ones(ep.n_support))
             assert evaluate(ep, state) == plain_ncc_accuracy(ep)

@@ -40,6 +40,18 @@ def episode_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def shuffled_file(tmp_path, episode_file):
+    """episode_file with support ids 70, 3, 41, ... stored in reverse order."""
+    doc = json.loads(episode_file.read_text())
+    for entry, new_id in zip(doc["support"], (70, 3, 41, 12, 99, 5, 64, 28, 17, 50, 8, 33)):
+        entry["id"] = new_id
+    doc["support"].reverse()
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestGen:
     def test_generates_loadable_episode(self, episode_file):
         ep = load_episode_file(episode_file)
@@ -206,21 +218,28 @@ class TestWeights:
                     )
         assert out.read_bytes() == reference.getvalue().encode("utf-8")
 
-    def test_trace_rows_follow_sample_id_order(self, tmp_path, episode_file):
+    def test_trace_rows_follow_sample_id_order(self, tmp_path, shuffled_file):
         # support stored out of id order: rows still go by iteration, sample id, slot
-        doc = json.loads(episode_file.read_text())
-        for entry, new_id in zip(doc["support"], (70, 3, 41, 12, 99, 5, 64, 28, 17, 50, 8, 33)):
-            entry["id"] = new_id
-        doc["support"].reverse()
-        shuffled = tmp_path / "shuffled.json"
-        shuffled.write_text(json.dumps(doc))
         out = tmp_path / "weights.csv"
-        code = run(["weights", "--episode", str(shuffled), "--out", str(out), "--iterations", "2"])
+        code = run(["weights", "--episode", str(shuffled_file), "--out", str(out), "--iterations", "2"])
         assert code == 0
         with open(out) as fh:
             keys = [(int(r[0]), int(r[1]), int(r[2])) for r in list(csv.reader(fh))[1:]]
         assert keys == sorted(keys)
         assert len(set(keys)) == 2 * 12 * 2
+
+    def test_state_weights_match_last_trace_iteration_by_id(self, tmp_path, shuffled_file):
+        # the state keys both weight maps by id, in id order, whatever the stored order
+        state_path, csv_path = tmp_path / "state.json", tmp_path / "weights.csv"
+        argv = ["--episode", str(shuffled_file), "--iterations", "3", "--seed", "11"]
+        assert run(["adapt", "--out", str(state_path)] + argv) == 0
+        assert run(["weights", "--out", str(csv_path)] + argv) == 0
+        with open(csv_path) as fh:
+            last = {int(r[1]): float(r[6]) for r in list(csv.reader(fh))[1:] if r[0] == "3"}
+        doc = json.loads(state_path.read_text())
+        for name in ("omega", "final_image_weights"):
+            assert list(doc[name]) == [str(sid) for sid in sorted(last)]
+            assert {int(sid): w for sid, w in doc[name].items()} == last
 
 
 class TestBench:

@@ -25,6 +25,7 @@ from oracles import (
     flatten_grads,
     make_instance,
     rebuild_batch,
+    validate_embedding_batch,
 )
 
 
@@ -363,7 +364,7 @@ class TestCombinedLoss:
     def test_batch_validate(self):
         rng = np.random.default_rng(19)
         batch, _, _ = make_instance(rng)
-        batch.validate()
+        validate_embedding_batch(batch)
         batch.image_embeddings[0] = batch.image_embeddings[0] * 2.0
         with pytest.raises(InvalidParameterError):
-            batch.validate()
+            validate_embedding_batch(batch)

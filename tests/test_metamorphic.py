@@ -51,8 +51,9 @@ def test_support_order_and_ids_leave_omega_and_predictions(base, order, ids):
     doc, omega, pred = base
     support = [dict(doc["support"][p], id=ids[p]) for p in order]
     new_omega, new_pred = run({**doc, "support": support})
-    for p, entry in enumerate(doc["support"]):
-        assert abs(new_omega[ids[p]] - omega[entry["id"]]) <= TOL
+    position = {entry["id"]: j for j, entry in enumerate(support)}
+    for p in range(N):
+        assert abs(new_omega[position[ids[p]]] - omega[p]) <= TOL
     assert np.array_equal(new_pred, pred)
 
 

@@ -4,7 +4,6 @@ import pytest
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode, resample_regions
 from deta.errors import DegenerateVectorError, InvalidParameterError, MissingWeightError
 from deta.relevance import (
-    ImageWeightAccumulator,
     RegionIndex,
     RegionWeightTable,
     accumulate_image_weights,
@@ -12,7 +11,7 @@ from deta.relevance import (
     region_weights,
     uniform_weight_table,
 )
-from oracles import brute_region_weights, region_rows
+from oracles import brute_region_weights, region_rows, validate_weight_table
 
 
 def grid_regions(n_classes, samples_per_class, k, dim=6, seed=0):
@@ -108,7 +107,7 @@ class TestRegionWeights:
         feats = np.repeat(np.eye(4)[:2], 4, axis=0)
         table = region_weights(feats, np.repeat(np.arange(4), 2), np.array([0, 0, 1, 1]))
         assert np.all(np.abs(table.weights - 1.0) < 1e-12)
-        table.validate()
+        validate_weight_table(table)
 
     def test_matches_brute_force(self):
         for seed in range(5):
@@ -160,7 +159,7 @@ class TestRegionWeights:
     def test_without_out_of_class_term(self):
         _, feats, sample_of, class_of = region_rows(grid_regions(2, 2, 2, seed=7))
         table = region_weights(feats, sample_of, class_of, use_out_of_class=False)
-        table.validate()
+        validate_weight_table(table)
         expected = brute_region_weights(feats, sample_of, class_of)
         n_class = 4
         assert np.allclose(table.weights, np.array(expected["phi_norm"]) * n_class, rtol=0, atol=1e-9)
@@ -168,7 +167,7 @@ class TestRegionWeights:
     def test_table_invariants(self):
         _, feats, sample_of, class_of = region_rows(grid_regions(3, 3, 2, seed=8))
         table = region_weights(feats, sample_of, class_of)
-        table.validate()
+        validate_weight_table(table)
         per_class = np.bincount(class_of[sample_of], weights=table.per_class_phi)
         assert np.all(np.abs(per_class - 1.0) < 1e-9)
 
@@ -182,7 +181,7 @@ class TestRegionWeights:
         _, _, sample_of, class_of = region_rows(grid_regions(2, 2, 2))
         table = uniform_weight_table(sample_of, class_of)
         assert np.all(table.weights == 1.0)
-        table.validate()
+        validate_weight_table(table)
 
 
 class TestAccumulator:
@@ -193,52 +192,41 @@ class TestAccumulator:
         return RegionWeightTable(np.array(lams), ones, ones, sample_of, np.zeros(len(means), dtype=int))
 
     def test_first_update_is_mean(self):
-        acc = accumulate_image_weights(
-            ImageWeightAccumulator(), self._table({0: (0.4, 0.6)}).sample_means()
-        )
-        assert acc.omega[0] == pytest.approx(0.5, abs=1e-15)
-        assert acc.iteration == 1
+        omega = accumulate_image_weights(None, self._table({0: (0.4, 0.6)}).sample_means(), 0.7)
+        assert omega[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_second_update_blends(self):
-        acc = ImageWeightAccumulator(momentum=0.7, omega=np.array([0.5]), iteration=1)
-        acc = accumulate_image_weights(acc, self._table({0: (1.0, 1.0)}).sample_means())
-        assert acc.omega[0] == pytest.approx(0.65, abs=1e-15)
-        assert acc.iteration == 2
+        omega = accumulate_image_weights(
+            np.array([0.5]), self._table({0: (1.0, 1.0)}).sample_means(), 0.7
+        )
+        assert omega[0] == pytest.approx(0.65, abs=1e-15)
 
     def test_constant_stream_converges_to_mean(self):
-        acc = ImageWeightAccumulator(momentum=0.7)
+        omega = None
         table = self._table({0: (2.5, 2.5), 1: (0.3, 0.7)})
         for _ in range(200):
-            acc = accumulate_image_weights(acc, table.sample_means())
-        assert abs(acc.omega[0] - 2.5) < 1e-6
-        assert abs(acc.omega[1] - 0.5) < 1e-6
+            omega = accumulate_image_weights(omega, table.sample_means(), 0.7)
+        assert abs(omega[0] - 2.5) < 1e-6
+        assert abs(omega[1] - 0.5) < 1e-6
 
     def test_geometric_convergence_rate(self):
-        acc = accumulate_image_weights(
-            ImageWeightAccumulator(momentum=0.7), self._table({0: (0.0,)}).sample_means()
-        )
+        omega = accumulate_image_weights(None, self._table({0: (0.0,)}).sample_means(), 0.7)
         target = self._table({0: (1.0,)})
         for t in range(1, 6):
-            acc = accumulate_image_weights(acc, target.sample_means())
-            assert acc.omega[0] == pytest.approx(1.0 - 0.7**t, abs=1e-12)
+            omega = accumulate_image_weights(omega, target.sample_means(), 0.7)
+            assert omega[0] == pytest.approx(1.0 - 0.7**t, abs=1e-12)
 
     def test_missing_sample_raises(self):
-        acc = accumulate_image_weights(
-            ImageWeightAccumulator(), self._table({0: (1.0,), 1: (1.0,)}).sample_means()
+        omega = accumulate_image_weights(
+            None, self._table({0: (1.0,), 1: (1.0,)}).sample_means(), 0.7
         )
         with pytest.raises(MissingWeightError):
-            accumulate_image_weights(acc, self._table({0: (1.0,)}).sample_means())
+            accumulate_image_weights(omega, self._table({0: (1.0,)}).sample_means(), 0.7)
 
     def test_unknown_sample_raises(self):
-        acc = accumulate_image_weights(
-            ImageWeightAccumulator(), self._table({0: (1.0,)}).sample_means()
-        )
+        omega = accumulate_image_weights(None, self._table({0: (1.0,)}).sample_means(), 0.7)
         with pytest.raises(MissingWeightError):
-            accumulate_image_weights(acc, self._table({0: (1.0,), 1: (1.0,)}).sample_means())
-
-    def test_bad_momentum(self):
-        with pytest.raises(InvalidParameterError):
-            ImageWeightAccumulator(momentum=1.0)
+            accumulate_image_weights(omega, self._table({0: (1.0,), 1: (1.0,)}).sample_means(), 0.7)
 
 
 class TestNoiseSeparation:
@@ -252,13 +240,13 @@ class TestNoiseSeparation:
             )
             class_of = ep.labels
             sample_of = np.repeat(np.arange(ep.n_support), 2)
-            acc = ImageWeightAccumulator(momentum=0.7)
+            omega = None
             for t in range(10):
                 drawn = resample_regions(ep, 2, jitter=0.0, seed=97 * i + t)
                 table = region_weights(drawn.reshape(-1, ep.feature_dim), sample_of, class_of)
-                acc = accumulate_image_weights(acc, table.sample_means())
+                omega = accumulate_image_weights(omega, table.sample_means(), 0.7)
             tags = ep.noise
-            clean = [w for w, tag in zip(acc.omega, tags) if tag == "clean"]
-            noisy = [w for w, tag in zip(acc.omega, tags) if tag == "label_noisy"]
+            clean = [w for w, tag in zip(omega, tags) if tag == "clean"]
+            noisy = [w for w, tag in zip(omega, tags) if tag == "label_noisy"]
             hits += int(np.mean(clean) > np.mean(noisy))
         assert hits >= 95
