@@ -39,7 +39,6 @@ from .harness import (
     BenchmarkConfig,
     EpisodeReport,
     emit_report,
-    load_report_json,
     run_benchmark,
 )
 from .losses import (
@@ -70,7 +69,7 @@ __all__ = [
     "InvalidParameterError", "MissingWeightError", "ParseError", "SchemaError",
     # benchmark harness
     "ABLATION_PRESETS", "AggregateReport", "BenchmarkConfig", "EpisodeReport", "emit_report",
-    "load_report_json", "run_benchmark",
+    "run_benchmark",
     # losses
     "EmbeddingBatch", "LossHyperparams", "LossValue", "combined_loss", "global_dispersion_loss",
     "local_compactness_loss",

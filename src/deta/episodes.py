@@ -3,9 +3,9 @@
 An episode holds its support and query sets as arrays of pre-extracted
 feature vectors: one image feature and a set of stored region features per
 support sample, one feature per query, and id, label and noise-tag vectors.
-Synthetic episodes additionally carry a hidden generative source so region
-sets can be redrawn each adaptation iteration; loaded episodes approximate
-redrawing by subsampling their stored regions with jitter.
+Each adaptation iteration redraws the region sets: synthetic episodes jitter
+every stored region at their redraw scale, loaded episodes subsample their
+stored regions and add jitter.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ NOISE_LABEL = "label_noisy"
 _NOISE_TAGS = (NOISE_CLEAN, NOISE_IMAGE, NOISE_LABEL)
 
 EPISODE_FORMAT_VERSION = 1
+
+CROP_JITTER = 0.1  # a synthetic episode's region redraw scale, relative to the class spread
 
 
 def _round_half_away(x: float) -> int:
@@ -61,25 +63,6 @@ class SyntheticNoiseConfig:
             raise InvalidParameterError("class_separation must be positive")
 
 
-@dataclass(frozen=True)
-class _SyntheticSource:
-    """Generative state of a synthetic episode, kept for region redraws.
-
-    A sample's stored regions act as its anchor set: redraws jitter around
-    them at crop_jitter * sigma so consecutive adaptation iterations see
-    perturbed views of the same crops rather than unrelated samples. Every
-    sample of a synthetic episode stores the same number of regions. Not
-    serialized: saved-and-reloaded episodes fall back to stored-region
-    subsampling.
-    """
-
-    class_means: np.ndarray  # (way, d), unit rows, indexed by true class
-    distractor_mean: np.ndarray  # (d,), unit
-    sigma: float
-    crop_jitter: float
-    distractor_mix: np.ndarray  # (n,), fraction of distractor regions per support position
-
-
 _ARRAY_FIELDS = (
     "sample_ids", "labels", "true_labels", "noise", "support_features", "regions",
     "region_offsets", "query_ids", "query_labels", "query_features",
@@ -96,7 +79,12 @@ class TaskEpisode:
     regions[region_offsets[i]:region_offsets[i + 1]]; the count may differ per
     sample. Treated as immutable after construction. Equality compares
     content (shape, features, ids, labels, evaluation tags) and ignores
-    provenance (seed, generative source).
+    provenance (seed, redraw scale).
+
+    redraw_scale is set on synthetic episodes only: each redraw jitters every
+    stored region at that scale, so iterations see perturbed views of the
+    same crops. It is not serialized; loaded episodes have None and subsample
+    their stored regions instead.
     """
 
     way: int
@@ -112,7 +100,7 @@ class TaskEpisode:
     query_labels: np.ndarray  # (q,)
     query_features: np.ndarray  # (q, d)
     seed: int = 0
-    source: _SyntheticSource | None = field(default=None, repr=False)
+    redraw_scale: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n, q, d = len(self.sample_ids), len(self.query_ids), self.feature_dim
@@ -145,6 +133,10 @@ class TaskEpisode:
             raise InvalidParameterError(f"unknown noise tag in {sorted(set(self.noise.tolist()))}")
         if np.any(np.bincount(self.labels, minlength=self.way) == 0):
             raise InvalidParameterError("every class must have at least one support sample")
+        if self.redraw_scale is not None and not 0.0 <= self.redraw_scale < math.inf:
+            raise InvalidParameterError(
+                f"redraw_scale must be finite and non-negative, got {self.redraw_scale}"
+            )
 
     @property
     def n_support(self) -> int:
@@ -180,7 +172,6 @@ def generate_synthetic_episode(
     cfg: SyntheticNoiseConfig,
     seed: int,
     query_shot: int = 15,
-    crop_jitter: float = 0.1,
 ) -> TaskEpisode:
     """Sample a synthetic episode with controllable image and label noise.
 
@@ -189,9 +180,7 @@ def generate_synthetic_episode(
     have a distractor_mix fraction of regions (and a commensurate part of the
     image feature) replaced by draws around a shared distractor direction.
     Label noise is applied last via corrupt_labels. Deterministic per seed.
-
-    crop_jitter sets how far resample_regions strays from the stored regions
-    relative to the class spread.
+    Region redraws jitter the stored regions at CROP_JITTER times the spread.
     """
     if way < 2 or shot < 1 or k < 1 or d < 2:
         raise InvalidParameterError(
@@ -199,8 +188,6 @@ def generate_synthetic_episode(
         )
     if query_shot < 0:
         raise InvalidParameterError("query_shot must be non-negative")
-    if crop_jitter < 0.0:
-        raise InvalidParameterError("crop_jitter must be non-negative")
     if seed < 0:
         raise InvalidParameterError("seed must be non-negative")
 
@@ -247,13 +234,7 @@ def generate_synthetic_episode(
         query_labels=query_labels,
         query_features=queries,
         seed=seed,
-        source=_SyntheticSource(
-            class_means=class_means,
-            distractor_mean=distractor_mean,
-            sigma=sigma,
-            crop_jitter=crop_jitter,
-            distractor_mix=np.where(is_noisy, mix, 0.0),
-        ),
+        redraw_scale=CROP_JITTER * sigma,
     )
     if cfg.label_noise_ratio > 0.0:
         episode = corrupt_labels(episode, cfg.label_noise_ratio, int(rng.integers(2**63)))
@@ -296,15 +277,13 @@ def corrupt_labels(episode: TaskEpisode, ratio: float, seed: int) -> TaskEpisode
 def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> np.ndarray:
     """Draw a fresh set of k regions per support sample, as one (n, k, d) array.
 
-    Row i holds the regions of the support sample at position i. Synthetic
-    episodes redraw from each sample's generative mixture: up to the stored
-    region count, fresh draws jitter around the stored regions at the
-    source's crop_jitter scale (so iterations see perturbed views of the same
-    crops); beyond it, whole region sets are redrawn from the class and
-    distractor components. Loaded episodes subsample k of their stored
-    regions uniformly without replacement and add jitter-scaled Gaussian
-    perturbation. Deterministic for a fixed seed; pass a distinct seed per
-    adaptation iteration.
+    Row i holds the regions of the support sample at position i. A synthetic
+    episode takes k equal to its stored region count and adds Gaussian noise
+    at its redraw_scale to every stored region; jitter does not apply. A
+    loaded episode subsamples k of each sample's stored regions uniformly
+    without replacement and adds jitter-scaled Gaussian perturbation.
+    Deterministic for a fixed seed; pass a distinct seed per adaptation
+    iteration.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -313,38 +292,18 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
     rng = np.random.default_rng(seed)
     n, d = episode.n_support, episode.feature_dim
     stored = episode.regions
-
-    if episode.source is not None:
-        src = episode.source
-        scale = src.crop_jitter * src.sigma
-        k_stored = len(stored) // n
-        if k == k_stored:
-            # The generator fills its output in order, so one draw equals the per-sample draws.
-            return stored.reshape(n, k, d) + scale * rng.standard_normal((n, k, d))
-        offsets = episode.region_offsets.tolist()
-        out = np.empty((n, k, d))
-        for pos in range(n):
-            if k < k_stored:
-                idx = np.sort(rng.choice(k_stored, size=k, replace=False))
-                out[pos] = stored[offsets[pos] + idx] + scale * rng.standard_normal((k, d))
-            else:
-                mean = src.class_means[episode.true_labels[pos]]
-                regions = mean + src.sigma * rng.standard_normal((k, d))
-                n_dist = min(k, _round_half_away(src.distractor_mix[pos] * k))
-                if n_dist > 0:
-                    slots = rng.choice(k, size=n_dist, replace=False)
-                    regions[slots] = src.distractor_mean + src.sigma * rng.standard_normal(
-                        (n_dist, d)
-                    )
-                out[pos] = regions
-        return out
-
     counts = np.diff(episode.region_offsets)
-    if np.any(counts < k):
-        pos = int(np.argmax(counts < k))
+    synthetic = episode.redraw_scale is not None
+    unfit = counts != k if synthetic else counts < k
+    if np.any(unfit):
+        pos = int(np.argmax(unfit))
+        need = f"exactly {k} in a synthetic episode" if synthetic else k
         raise InvalidParameterError(
-            f"sample {episode.sample_ids[pos]} stores {counts[pos]} regions, need {k}"
+            f"sample {episode.sample_ids[pos]} stores {counts[pos]} regions, need {need}"
         )
+    if synthetic:
+        # The generator fills its output in order, so one draw equals the per-sample draws.
+        return stored.reshape(n, k, d) + episode.redraw_scale * rng.standard_normal((n, k, d))
     # One uniform key per stored slot, +inf past each sample's own count; the
     # k smallest keys of a row are a uniform k-subset of that sample's slots.
     keys = rng.random((n, int(counts.max())))

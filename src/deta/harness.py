@@ -287,17 +287,3 @@ def report_to_dict(report: AggregateReport) -> dict:
         "cells": [dataclasses.asdict(c) for c in report.cells],
         "episodes": [dataclasses.asdict(e) for e in report.episodes],
     }
-
-
-def report_from_dict(doc: dict) -> AggregateReport:
-    return AggregateReport(
-        master_seed=doc["master_seed"],
-        ablation_mask=doc["ablation_mask"],
-        cells=[CellAggregate(**c) for c in doc["cells"]],
-        episodes=[EpisodeReport(**e) for e in doc["episodes"]],
-    )
-
-
-def load_report_json(path) -> AggregateReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))

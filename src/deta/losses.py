@@ -51,7 +51,10 @@ class EmbeddingBatch:
     region_embeddings: np.ndarray  # (r, e)
     sample_of: np.ndarray  # (r,)
     class_of: np.ndarray  # (n,)
-    embed_dim: int = 128
+
+    @property
+    def embed_dim(self) -> int:
+        return self.region_embeddings.shape[1]
 
 
 @dataclass

@@ -16,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deta.episodes import (
-    NOISE_CLEAN,
-    NOISE_IMAGE,
-    NOISE_LABEL,
-    TaskEpisode,
-    _SyntheticSource,
-    _unit_directions,
-)
+from deta.episodes import NOISE_CLEAN, NOISE_IMAGE, NOISE_LABEL, TaskEpisode, _unit_directions
 from deta.errors import InvalidParameterError
+from deta.harness import AggregateReport, CellAggregate, EpisodeReport
 from deta.losses import EmbeddingBatch
 from deta.relevance import RegionIndex, RegionWeightTable
 
@@ -149,7 +143,7 @@ def brute_global_loss(regions, weights, images, omega, sample_of, class_of, pi: 
     return total / len(regions)
 
 
-def episode_from_samples(way, feature_dim, support, queries=(), seed=0, source=None):
+def episode_from_samples(way, feature_dim, support, queries=(), seed=0, redraw_scale=None):
     """The one place tests build an episode sample by sample.
 
     support entries are dicts with the wire-format keys id, label,
@@ -173,7 +167,7 @@ def episode_from_samples(way, feature_dim, support, queries=(), seed=0, source=N
             [q["image_feature"] for q in queries], dtype=np.float64
         ).reshape(len(queries), feature_dim),
         seed=seed,
-        source=source,
+        redraw_scale=redraw_scale,
     )
 
 
@@ -226,7 +220,7 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15, crop_jitter=0.1):
+def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15):
     """generate_synthetic_episode drawn one sample at a time, in the order the
     generator used before it drew blocks: per support sample its image then its
     k regions, the image-noise loop, per query its feature, then label noise
@@ -243,11 +237,9 @@ def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15, crop_jitter=0.
             regions = class_means[c] + sigma * rng.standard_normal((k, d))
             support.append({"id": len(support), "label": c, "image_feature": image,
                             "regions": regions, "true_label": c, "noise": NOISE_CLEAN})
-    mix_of = [0.0] * n
     for sid in rng.choice(n, size=_round_half_away(cfg.image_noise_ratio * n), replace=False):
         s = support[int(sid)]
         mix = cfg.distractor_mix
-        mix_of[int(sid)] = mix
         n_dist = min(k, _round_half_away(mix * k))
         slots = rng.choice(k, size=n_dist, replace=False)
         s["regions"] = s["regions"].copy()
@@ -278,8 +270,7 @@ def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15, crop_jitter=0.
         for pos in picked:
             support[pos]["label"] = new_labels[pos]
             support[pos]["noise"] = NOISE_LABEL
-    source = _SyntheticSource(class_means, distractor_mean, sigma, crop_jitter, np.array(mix_of))
-    return episode_from_samples(way, d, support, queries, seed=seed, source=source)
+    return episode_from_samples(way, d, support, queries, seed=seed, redraw_scale=0.1 * sigma)
 
 
 def per_sample_resample(episode, k: int, jitter: float, seed: int) -> np.ndarray:
@@ -288,35 +279,40 @@ def per_sample_resample(episode, k: int, jitter: float, seed: int) -> np.ndarray
     A loaded episode first draws one (n, m) block of uniform keys, m the
     largest stored count; each sample then takes its stored rows at the k
     smallest keys among its own first count slots, in slot order, plus k
-    jitter rows. A synthetic episode makes one generator call or two per
-    sample.
+    jitter rows. A synthetic episode, whose samples store exactly k regions,
+    adds one (k, d) draw at its redraw scale per sample.
     """
     rng = np.random.default_rng(seed)
     d = episode.feature_dim
     out = np.empty((episode.n_support, k, d))
-    src = episode.source
+    scale = episode.redraw_scale
     samples = episode_samples(episode)
-    if src is None:
+    if scale is None:
         keys = rng.random((len(samples), max(len(s["regions"]) for s in samples)))
     for pos, s in enumerate(samples):
         stored = s["regions"]
-        if src is None:
-            own = keys[pos, : len(stored)]
-            out[pos] = stored[np.sort(np.argsort(own, kind="stable")[:k])]
-            if jitter > 0.0:
-                out[pos] += jitter * rng.standard_normal((k, d))
-        elif k <= len(stored):
-            if k < len(stored):
-                stored = stored[np.sort(rng.choice(len(stored), size=k, replace=False))]
-            out[pos] = stored + src.crop_jitter * src.sigma * rng.standard_normal((k, d))
-        else:
-            regions = src.class_means[s["true_label"]] + src.sigma * rng.standard_normal((k, d))
-            n_dist = min(k, _round_half_away(src.distractor_mix[pos] * k))
-            if n_dist > 0:
-                slots = rng.choice(k, size=n_dist, replace=False)
-                regions[slots] = src.distractor_mean + src.sigma * rng.standard_normal((n_dist, d))
-            out[pos] = regions
+        if scale is not None:
+            out[pos] = stored + scale * rng.standard_normal((k, d))
+            continue
+        own = keys[pos, : len(stored)]
+        out[pos] = stored[np.sort(np.argsort(own, kind="stable")[:k])]
+        if jitter > 0.0:
+            out[pos] += jitter * rng.standard_normal((k, d))
     return out
+
+
+def report_from_dict(doc: dict) -> AggregateReport:
+    return AggregateReport(
+        master_seed=doc["master_seed"],
+        ablation_mask=doc["ablation_mask"],
+        cells=[CellAggregate(**c) for c in doc["cells"]],
+        episodes=[EpisodeReport(**e) for e in doc["episodes"]],
+    )
+
+
+def load_report_json(path) -> AggregateReport:
+    with open(path, "r", encoding="utf-8") as fh:
+        return report_from_dict(json.load(fh))
 
 
 class OracleFailure(ArithmeticError):
@@ -405,14 +401,13 @@ def make_instance(
         region_embeddings=np.stack(regions),
         sample_of=np.repeat(np.arange(n), k),
         class_of=np.repeat(np.arange(n_classes), samples_per_class),
-        embed_dim=dim,
     )
     return batch, np.array(weights), np.array(omega)
 
 
 def validate_embedding_batch(batch: EmbeddingBatch, atol: float = 1e-9) -> None:
-    """Raise InvalidParameterError unless both embedding blocks are (rows, embed_dim)
-    and every row has unit norm."""
+    """Raise InvalidParameterError unless both embedding blocks are (rows, embed_dim),
+    the region block's width, and every row has unit norm."""
     for name, mat in (("image", batch.image_embeddings), ("region", batch.region_embeddings)):
         if mat.ndim != 2 or mat.shape[1] != batch.embed_dim:
             raise InvalidParameterError(f"{name} embeddings have shape {mat.shape}")
@@ -433,7 +428,6 @@ def rebuild_batch(template: EmbeddingBatch, vec: np.ndarray) -> EmbeddingBatch:
         region_embeddings=vec[:split].reshape(template.region_embeddings.shape),
         sample_of=template.sample_of,
         class_of=template.class_of,
-        embed_dim=template.embed_dim,
     )
 
 

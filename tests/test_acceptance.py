@@ -128,10 +128,10 @@ def _random_pipeline(rng):
     return x, r, keys, labels, lam, omega, adapter, head, (d, hidden, embed)
 
 
-def _pipeline_loss(x, r, keys, labels, lam, omega, adapter, head, embed):
+def _pipeline_loss(x, r, keys, labels, lam, omega, adapter, head):
     e_img, img_cache = head_forward(head, forward_features(adapter, x))
     e_reg, reg_cache = head_forward(head, forward_features(adapter, r))
-    batch = EmbeddingBatch(e_img, e_reg, sample_of=keys, class_of=labels, embed_dim=embed)
+    batch = EmbeddingBatch(e_img, e_reg, sample_of=keys, class_of=labels)
     loss = combined_loss(batch, lam, omega, HP)
     return loss, batch, img_cache, reg_cache
 
@@ -198,13 +198,13 @@ def test_criterion_1_gradient_suite():
         for trial in range(12):
             x, r, keys, labels, lam, omega, adapter, head, (d, hidden, embed) = _random_pipeline(rng)
             loss, _, img_cache, reg_cache = _pipeline_loss(
-                x, r, keys, labels, lam, omega, adapter, head, embed
+                x, r, keys, labels, lam, omega, adapter, head
             )
             grad = flat_gradient(head, img_cache, reg_cache, loss, x, r)
 
             def f_adapter(vec, head=head):
                 probe = AdapterParams(w=vec[: d * d].reshape(d, d), b=vec[d * d :])
-                loss, _, _, _ = _pipeline_loss(x, r, keys, labels, lam, omega, probe, head, embed)
+                loss, _, _, _ = _pipeline_loss(x, r, keys, labels, lam, omega, probe, head)
                 return loss.combined
 
             packed = np.concatenate([adapter.w.ravel(), adapter.b])
@@ -214,7 +214,7 @@ def test_criterion_1_gradient_suite():
         for trial in range(12):
             x, r, keys, labels, lam, omega, adapter, head, (d, hidden, embed) = _random_pipeline(rng)
             loss, _, img_cache, reg_cache = _pipeline_loss(
-                x, r, keys, labels, lam, omega, adapter, head, embed
+                x, r, keys, labels, lam, omega, adapter, head
             )
             grad = flat_gradient(head, img_cache, reg_cache, loss, x, r)
             shapes = [(hidden, d), (hidden,), (embed, hidden), (embed,)]
@@ -223,7 +223,7 @@ def test_criterion_1_gradient_suite():
             def f_head(vec, adapter=adapter):
                 parts = np.split(vec, np.cumsum(sizes)[:-1])
                 probe = ProjectionHead(*(p.reshape(s) for p, s in zip(parts, shapes)))
-                loss, _, _, _ = _pipeline_loss(x, r, keys, labels, lam, omega, adapter, probe, embed)
+                loss, _, _, _ = _pipeline_loss(x, r, keys, labels, lam, omega, adapter, probe)
                 return loss.combined
 
             packed = np.concatenate([head.w1.ravel(), head.b1, head.w2.ravel(), head.b2])
@@ -258,7 +258,7 @@ def test_criterion_2_formula_oracles():
             unit_regions = feats / np.linalg.norm(feats, axis=1, keepdims=True)
             weights = np.array([rng.uniform(0.4, 2.0) for _ in unit_regions])
             images = np.zeros((len(class_of), 6))
-            batch = EmbeddingBatch(images, unit_regions, sample_of, class_of, embed_dim=6)
+            batch = EmbeddingBatch(images, unit_regions, sample_of, class_of)
             value, _ = local_compactness_loss(batch, weights, HP.tau)
             brute = brute_local_loss(unit_regions, weights, class_of[sample_of], HP.tau)
             assert abs(value - brute) < 1e-9

@@ -10,6 +10,8 @@ import types
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import deta.adaptation
 import deta.classifier
 import deta.cli
@@ -34,7 +36,8 @@ def snapshot(owners):
     return {owner: dict(vars(owner)) for owner in owners}
 
 
-def test_traced_episode_keeps_the_tracer_contract():
+@pytest.mark.parametrize("preset", list(deta.harness.ABLATION_PRESETS))
+def test_traced_episode_keeps_the_tracer_contract(preset):
     mods = types.SimpleNamespace(
         adaptation=deta.adaptation,
         classifier=deta.classifier,
@@ -55,6 +58,7 @@ def test_traced_episode_keeps_the_tracer_contract():
         noise_ratios=(0.3,),
         episodes_per_cell=1,
         adaptation=AdaptationConfig(iterations=3, embed_dim=16),
+        ablation=deta.harness.ABLATION_PRESETS[preset],
     )
     tracer.install()
     try:

@@ -125,7 +125,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("change", ["other ids", "same ids reordered"])
     def test_state_scores_only_the_support_it_was_adapted_on(self, change):
         ep = generate_synthetic_episode(3, 3, 1, 8, SyntheticNoiseConfig(), seed=1, query_shot=2)
-        state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, seed=1))
+        state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, k_regions=1, seed=1))
         if change == "other ids":
             other = replace(ep, sample_ids=ep.sample_ids + 1000)
         else:  # a faithful reordered copy: one stored region per sample moves with its sample
@@ -139,7 +139,7 @@ class TestEvaluate:
 
     def test_no_queries_rejected(self):
         ep = generate_synthetic_episode(3, 3, 1, 8, SyntheticNoiseConfig(), seed=1, query_shot=0)
-        state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, seed=1))
+        state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, k_regions=1, seed=1))
         with pytest.raises(InvalidParameterError):
             evaluate(ep, state)
         with pytest.raises(InvalidParameterError):

@@ -13,7 +13,8 @@ from deta.adaptation import adapt_task
 from deta.cli import _adaptation_config, build_parser, main
 from deta.episodes import load_episode_file
 from deta.errors import DivergenceError
-from deta.harness import CSV_COLUMNS, load_report_json
+from deta.harness import CSV_COLUMNS
+from oracles import load_report_json
 
 
 def run(argv):

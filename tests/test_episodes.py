@@ -116,9 +116,7 @@ class TestGeneration:
             expected = per_sample_episode(way, shot, k, d, cfg, seed, query_shot=query_shot)
             assert got == expected
             assert got.seed == expected.seed
-            for name in ("class_means", "distractor_mean", "sigma", "crop_jitter",
-                         "distractor_mix"):
-                assert np.array_equal(getattr(got.source, name), getattr(expected.source, name))
+            assert got.redraw_scale == expected.redraw_scale
 
 
 class TestCorruptLabels:
@@ -450,15 +448,6 @@ class TestResampleRegions:
             expected = per_sample_resample(ep, k, 0.0, draw_seed)
             assert np.array_equal(resample_regions(ep, k, jitter=0.0, seed=draw_seed), expected)
 
-    @pytest.mark.parametrize("k_stored,k", [(4, 2), (2, 5), (3, 3)])
-    def test_synthetic_other_k_matches_per_sample_draws(self, k_stored, k):
-        ep = generate_synthetic_episode(
-            4, 3, k_stored, 16, SyntheticNoiseConfig(image_noise_ratio=0.5), seed=3, query_shot=1
-        )
-        for draw_seed in (0, 77):
-            expected = per_sample_resample(ep, k, 0.0, draw_seed)
-            assert np.array_equal(resample_regions(ep, k, jitter=0.0, seed=draw_seed), expected)
-
     @pytest.mark.parametrize("jitter", [0.0, 0.05])
     def test_loaded_matches_per_sample_draws(self, jitter):
         rng = np.random.default_rng(1)
@@ -508,10 +497,11 @@ class TestResampleRegions:
             # the 99.9th percentile of chi-square with len(subsets) - 1 degrees of freedom
             assert statistic < stats.chi2.ppf(0.999, len(subsets) - 1)
 
-    def test_synthetic_supports_larger_k(self):
+    def test_synthetic_rejects_other_k(self):
         ep = make_episode(seed=8)
-        drawn = resample_regions(ep, 5, jitter=0.0, seed=1)
-        assert drawn.shape == (ep.n_support, 5, 16)
+        for k in (1, 3):
+            with pytest.raises(InvalidParameterError, match=f"stores 2 regions, need exactly {k}"):
+                resample_regions(ep, k, jitter=0.0, seed=1)
 
 
 class TestEpisodeInvariants:
@@ -531,6 +521,16 @@ class TestEpisodeInvariants:
         ):
             with pytest.raises(InvalidParameterError):
                 replace(ep, **bad)
+
+    @pytest.mark.parametrize("scale", [-0.1, float("nan"), float("inf")])
+    def test_bad_redraw_scale_rejected(self, scale):
+        with pytest.raises(InvalidParameterError, match="redraw_scale"):
+            replace(make_episode(), redraw_scale=scale)
+
+    def test_equality_ignores_seed_and_redraw_scale(self):
+        ep = make_episode()
+        assert ep.redraw_scale == pytest.approx(0.1 / 3.0)
+        assert replace(ep, seed=99, redraw_scale=None) == ep
 
     def test_noise_tags_accessor(self):
         ep = make_episode(seed=13, label_noise_ratio=0.2)

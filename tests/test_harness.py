@@ -11,9 +11,9 @@ from deta.harness import (
     AggregateReport,
     BenchmarkConfig,
     emit_report,
-    load_report_json,
     run_benchmark,
 )
+from oracles import load_report_json
 
 
 def tiny_config(**kw):

@@ -42,7 +42,6 @@ def region_batch(regions, region_class):
         region_embeddings=regions,
         sample_of=np.arange(len(regions)),
         class_of=np.asarray(region_class),
-        embed_dim=regions.shape[1],
     )
 
 
@@ -61,7 +60,6 @@ def single_region_posterior_loss(region, prototypes, own_class, pi=0.07):
         region_embeddings=np.array([region], dtype=float),
         sample_of=np.array([own_class]),
         class_of=np.arange(len(prototypes)),
-        embed_dim=prototypes.shape[1],
     )
     value, _, _ = global_dispersion_loss(batch, np.ones(1), np.ones(len(prototypes)), pi)
     return value
@@ -232,7 +230,6 @@ class TestGlobalDispersionLoss:
             region_embeddings=np.array([unit(1, 1)]),
             sample_of=np.array([0]),
             class_of=np.array([0, 1]),
-            embed_dim=2,
         )
         value, _, _ = global_dispersion_loss(batch, np.ones(1), np.ones(2), pi=0.07)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)

@@ -1,7 +1,7 @@
 """Metamorphic properties of the whole pipeline under relabelings of the support set,
 and of the region weights under rescaling of the region features.
 
-The episode is a loaded one (no generative source) whose support samples
+The episode is a loaded one (no redraw scale) whose support samples
 store exactly k regions, adapted with jitter 0: resampling then returns every
 stored region, so a run depends on the support set and not on how it is
 ordered or named.
