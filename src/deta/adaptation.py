@@ -158,10 +158,9 @@ class AblationFlags:
     local_loss: bool = True
     global_loss: bool = True
     accumulator: bool = True
-    out_of_class_term: bool = True
 
     def mask(self) -> str:
-        bits = (self.cora, self.local_loss, self.global_loss, self.accumulator, self.out_of_class_term)
+        bits = (self.cora, self.local_loss, self.global_loss, self.accumulator)
         return "".join("1" if b else "0" for b in bits)
 
 
@@ -329,7 +328,7 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
 
         try:
             table: RegionWeightTable = (
-                region_weights(a_reg, sample_of, class_of, use_out_of_class=ab.out_of_class_term)
+                region_weights(a_reg, sample_of, class_of)
                 if ab.cora
                 else uniform_weight_table(sample_of, class_of)
             )

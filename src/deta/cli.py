@@ -54,16 +54,18 @@ def _preset_list(text: str) -> tuple[str, ...]:
     return names
 
 
-def _add_adaptation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=int, default=40)
-    p.add_argument("--k-regions", type=int, default=2)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--pi", type=float, default=0.07)
-    p.add_argument("--gamma", type=float, default=0.7, help="image-weight momentum")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--jitter", type=float, default=0.05)
-    p.add_argument("--embed-dim", type=int, default=128)
+def _add_adaptation_flags(p: argparse.ArgumentParser, jitter: bool) -> None:
+    a, hp = AdaptationConfig, LossHyperparams
+    p.add_argument("--iterations", type=int, default=a.iterations)
+    p.add_argument("--k-regions", type=int, default=a.k_regions)
+    p.add_argument("--beta", type=float, default=hp.beta)
+    p.add_argument("--tau", type=float, default=hp.tau)
+    p.add_argument("--pi", type=float, default=hp.pi)
+    p.add_argument("--gamma", type=float, default=a.momentum, help="image-weight momentum")
+    p.add_argument("--lr", type=float, default=a.learning_rate)
+    if jitter:  # only loaded episodes are jittered, and bench generates synthetic ones
+        p.add_argument("--jitter", type=float, default=a.jitter)
+    p.add_argument("--embed-dim", type=int, default=a.embed_dim)
     p.add_argument("--seed", type=int, default=7)
 
 
@@ -76,22 +78,23 @@ def _adaptation_config(args) -> AdaptationConfig:
         hp=LossHyperparams(tau=args.tau, pi=args.pi, beta=args.beta),
         seed=args.seed,
         embed_dim=args.embed_dim,
-        jitter=args.jitter,
+        jitter=getattr(args, "jitter", AdaptationConfig.jitter),
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="deta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    b, noise = BenchmarkConfig, SyntheticNoiseConfig
 
     bench = sub.add_parser("bench", help="run a noise-sweep benchmark over seeded episodes")
-    bench.add_argument("--way", type=int, default=5)
-    bench.add_argument("--shot", type=int, default=10)
-    bench.add_argument("--dim", type=int, default=64)
-    bench.add_argument("--query-shot", type=int, default=15)
-    bench.add_argument("--noise-type", choices=NOISE_TYPES, default="label")
-    bench.add_argument("--noise-ratios", type=_ratio_list, default=(0.1, 0.3, 0.5, 0.7))
-    bench.add_argument("--episodes", type=int, default=100)
+    bench.add_argument("--way", type=int, default=b.way)
+    bench.add_argument("--shot", type=int, default=b.shot)
+    bench.add_argument("--dim", type=int, default=b.feature_dim)
+    bench.add_argument("--query-shot", type=int, default=b.query_shot)
+    bench.add_argument("--noise-type", choices=NOISE_TYPES, default=b.noise_type)
+    bench.add_argument("--noise-ratios", type=_ratio_list, default=b.noise_ratios)
+    bench.add_argument("--episodes", type=int, default=b.episodes_per_cell)
     bench.add_argument(
         "--ablation",
         type=_preset_list,
@@ -99,32 +102,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated presets, run in order on the same episodes: "
         + ", ".join(sorted(ABLATION_PRESETS)),
     )
-    bench.add_argument("--class-separation", type=float, default=3.0)
-    bench.add_argument("--distractor-mix", type=float, default=0.5)
+    bench.add_argument("--class-separation", type=float, default=b.class_separation)
+    bench.add_argument("--distractor-mix", type=float, default=b.distractor_mix)
     bench.add_argument("--out", required=True)
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_adaptation_flags(bench)
+    _add_adaptation_flags(bench, jitter=False)
 
     adapt = sub.add_parser("adapt", help="adapt a single episode loaded from a JSON file")
     adapt.add_argument("--episode", required=True)
     adapt.add_argument("--out", required=True)
-    _add_adaptation_flags(adapt)
+    _add_adaptation_flags(adapt, jitter=True)
 
     weights = sub.add_parser("weights", help="dump the per-iteration region/image weight trace")
     weights.add_argument("--episode", required=True)
     weights.add_argument("--out", required=True)
-    _add_adaptation_flags(weights)
+    _add_adaptation_flags(weights, jitter=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic episode file")
-    gen.add_argument("--way", type=int, default=5)
-    gen.add_argument("--shot", type=int, default=10)
-    gen.add_argument("--k-regions", type=int, default=2)
-    gen.add_argument("--dim", type=int, default=64)
-    gen.add_argument("--query-shot", type=int, default=15)
-    gen.add_argument("--label-noise", type=float, default=0.0)
-    gen.add_argument("--image-noise", type=float, default=0.0)
-    gen.add_argument("--distractor-mix", type=float, default=0.5)
-    gen.add_argument("--class-separation", type=float, default=3.0)
+    gen.add_argument("--way", type=int, default=b.way)
+    gen.add_argument("--shot", type=int, default=b.shot)
+    gen.add_argument("--k-regions", type=int, default=b.k_regions)
+    gen.add_argument("--dim", type=int, default=b.feature_dim)
+    gen.add_argument("--query-shot", type=int, default=b.query_shot)
+    gen.add_argument("--label-noise", type=float, default=noise.label_noise_ratio)
+    gen.add_argument("--image-noise", type=float, default=noise.image_noise_ratio)
+    gen.add_argument("--distractor-mix", type=float, default=noise.distractor_mix)
+    gen.add_argument("--class-separation", type=float, default=noise.class_separation)
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--out", required=True)
     return parser

@@ -287,8 +287,8 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if jitter < 0.0:
-        raise InvalidParameterError("jitter must be non-negative")
+    if not 0.0 <= jitter < np.inf:
+        raise InvalidParameterError(f"jitter must be finite and non-negative, got {jitter}")
     rng = np.random.default_rng(seed)
     n, d = episode.n_support, episode.feature_dim
     stored = episode.regions

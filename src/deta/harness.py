@@ -36,13 +36,18 @@ ABLATION_PRESETS: dict[str, AblationFlags] = {
     "no-local": AblationFlags(local_loss=False),
     "no-global": AblationFlags(global_loss=False),
     "no-ma": AblationFlags(accumulator=False),
-    "off": AblationFlags(False, False, False, False, False),
+    "off": AblationFlags(False, False, False, False),
 }
 
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """One benchmark run: episode shape, noise sweep, ablation, adaptation knobs."""
+    """One benchmark run: episode shape, noise sweep, ablation, adaptation knobs.
+
+    run_episode overrides adaptation.k_regions, adaptation.seed and
+    adaptation.ablation per episode with k_regions, the episode seed and
+    ablation.
+    """
 
     way: int = 5
     shot: int = 10

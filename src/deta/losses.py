@@ -92,8 +92,8 @@ def local_compactness_loss(
     respect to w is ((P + P^T) w - 2 (W_c(r) - w_r)) / (tau * normalizer),
     with P's rows scaled by the partner counts.
     """
-    if tau <= 0.0:
-        raise InvalidParameterError("tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise InvalidParameterError(f"tau must be finite and positive, got {tau}")
     mat = np.asarray(batch.region_embeddings, dtype=np.float64)
     lam = _per_row(weights, len(mat), "region weights")
     class_ids = batch.class_of[batch.sample_of]
@@ -135,8 +135,8 @@ def global_dispersion_loss(
     Gradients flow both into the region embeddings and, through the
     prototypes, into the image embeddings.
     """
-    if pi <= 0.0:
-        raise InvalidParameterError("pi must be positive")
+    if not 0.0 < pi < np.inf:
+        raise InvalidParameterError(f"pi must be finite and positive, got {pi}")
     r = np.asarray(batch.region_embeddings, dtype=np.float64)
     e = np.asarray(batch.image_embeddings, dtype=np.float64)
     n_regions = len(r)

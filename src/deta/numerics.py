@@ -62,8 +62,8 @@ def segment_sum(rows, segment_of, n_segments: int) -> np.ndarray:
     return np.bincount(flat, weights=mat.ravel(), minlength=n_segments * d).reshape(n_segments, d)
 
 
-def segment_mean(rows, segment_of, n_segments: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per segment, the sum of its (optionally weight-scaled) rows over its row count.
+def segment_mean(rows, segment_of, n_segments: int, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment, the sum of its weight-scaled rows over its row count.
 
     Row i belongs to segment segment_of[i] in [0, n_segments). Returns the
     (n_segments, d) means and the member counts. No renormalization is
@@ -72,7 +72,5 @@ def segment_mean(rows, segment_of, n_segments: int, weights=None) -> tuple[np.nd
     counts = np.bincount(segment_of, minlength=n_segments)
     if np.any(counts == 0):
         raise EmptyClassError(f"segments without members: {np.flatnonzero(counts == 0).tolist()}")
-    mat = np.asarray(rows, dtype=np.float64)
-    if weights is not None:
-        mat = np.asarray(weights, dtype=np.float64)[:, None] * mat
+    mat = np.asarray(weights, dtype=np.float64)[:, None] * np.asarray(rows, dtype=np.float64)
     return segment_sum(mat, segment_of, n_segments) / counts[:, None], counts

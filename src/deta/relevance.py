@@ -98,21 +98,12 @@ def mean_relevance(features, sample_of, class_of) -> tuple[np.ndarray, np.ndarra
     return phi, psi
 
 
-def region_weights(features, sample_of, class_of, use_out_of_class: bool = True) -> RegionWeightTable:
-    """Compute contrastive relevance weights for every region row.
-
-    With use_out_of_class=False the out-of-class statistics are skipped and
-    the per-class normalization of the out scores is replaced by the uniform
-    distribution, so weights reduce to the normalized in-class relevance
-    rescaled to mean one per class.
-    """
+def region_weights(features, sample_of, class_of) -> RegionWeightTable:
+    """Compute contrastive relevance weights for every region row."""
     phi, psi = mean_relevance(features, sample_of, class_of)
     class_ids = np.asarray(class_of)[sample_of]
     phi_norm = softmax(phi, segment_of=class_ids)
-    if use_out_of_class:
-        psi_norm = softmax(psi, segment_of=class_ids)
-    else:
-        psi_norm = 1.0 / np.bincount(class_ids)[class_ids]
+    psi_norm = softmax(psi, segment_of=class_ids)
     return RegionWeightTable(phi_norm / psi_norm, phi_norm, psi_norm, sample_of, class_of)
 
 

@@ -295,15 +295,22 @@ class TestBench:
             ("--tau", "inf", "tau"),
             ("--pi", "nan", "pi"),
             ("--beta", "inf", "beta"),
-            ("--jitter", "nan", "jitter"),
+            ("--jitter", "nan", "jitter"),  # on adapt: only loaded episodes are jittered
             ("--class-separation", "nan", "class_separation"),
         ],
     )
-    def test_non_finite_knob_exits_config_error(self, tmp_path, capsys, flag, value, knob):
+    def test_non_finite_knob_exits_config_error(self, tmp_path, capsys, episode_file, flag, value, knob):
         out = tmp_path / "r.csv"
-        assert run(self._bench_args(out) + [flag, value]) == 2
+        adapt = ["adapt", "--episode", str(episode_file), "--out", str(out)]
+        assert run((adapt if flag == "--jitter" else self._bench_args(out)) + [flag, value]) == 2
         assert knob in capsys.readouterr().err
         assert not out.exists()
+
+    def test_jitter_is_not_a_bench_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(self._bench_args(tmp_path / "r.csv") + ["--jitter", "0.9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jitter 0.9" in capsys.readouterr().err
 
     def test_blown_up_episodes_fail_alone(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -351,8 +358,8 @@ class TestBench:
         out = tmp_path / "r.json"
         assert run(self._bench_args(out, fmt="json") + ["--ablation", "full,no-cora"]) == 0
         report = load_report_json(out)
-        assert report.ablation_mask == "11111,01111"
-        assert [c.ablation_mask for c in report.cells] == ["11111", "01111"]
+        assert report.ablation_mask == "1111,0111"
+        assert [c.ablation_mask for c in report.cells] == ["1111", "0111"]
         assert [e.seed for e in report.episodes[:2]] == [e.seed for e in report.episodes[2:]]
 
     def test_all_cells_divergent_exit_code(self, tmp_path, monkeypatch):

@@ -139,7 +139,7 @@ class TestEmitReport:
         assert all(len(r) == len(rows[0]) for r in rows)
 
     def test_empty_report_header_only(self, tmp_path):
-        empty = AggregateReport(master_seed=0, ablation_mask="11111", cells=[], episodes=[])
+        empty = AggregateReport(master_seed=0, ablation_mask="1111", cells=[], episodes=[])
         path = tmp_path / "empty.csv"
         emit_report(empty, "csv", path)
         lines = path.read_text().splitlines()
@@ -153,16 +153,16 @@ class TestEmitReport:
         assert load_report_json(path) == report
 
     def test_unknown_format(self, tmp_path):
-        report = AggregateReport(master_seed=0, ablation_mask="11111", cells=[], episodes=[])
+        report = AggregateReport(master_seed=0, ablation_mask="1111", cells=[], episodes=[])
         with pytest.raises(InvalidParameterError):
             emit_report(report, "yaml", tmp_path / "x.yaml")
 
 
 class TestAblationFlags:
     def test_masks(self):
-        assert AblationFlags().mask() == "11111"
-        assert ABLATION_PRESETS["no-cora"].mask() == "01111"
-        assert ABLATION_PRESETS["no-local"].mask() == "10111"
-        assert ABLATION_PRESETS["no-global"].mask() == "11011"
-        assert ABLATION_PRESETS["no-ma"].mask() == "11101"
-        assert ABLATION_PRESETS["off"].mask() == "00000"
+        assert AblationFlags().mask() == "1111"
+        assert ABLATION_PRESETS["no-cora"].mask() == "0111"
+        assert ABLATION_PRESETS["no-local"].mask() == "1011"
+        assert ABLATION_PRESETS["no-global"].mask() == "1101"
+        assert ABLATION_PRESETS["no-ma"].mask() == "1110"
+        assert ABLATION_PRESETS["off"].mask() == "0000"

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode, resample_regions
 from deta.errors import (
     DegenerateVectorError,
     EmptyClassError,
@@ -189,7 +191,7 @@ class TestPrototypes:
 
     def test_empty_input(self):
         with pytest.raises(EmptyClassError):
-            segment_mean(np.zeros((0, 2)), np.zeros(0, dtype=int), 1)
+            segment_mean(np.zeros((0, 2)), np.zeros(0, dtype=int), 1, weights=np.zeros(0))
 
 
 class TestPosterior:
@@ -365,3 +367,21 @@ class TestCombinedLoss:
         batch.image_embeddings[0] = batch.image_embeddings[0] * 2.0
         with pytest.raises(InvalidParameterError):
             validate_embedding_batch(batch)
+
+
+def _knob_call(knob, value):
+    """Call the one function that takes knob directly, bypassing the config dataclasses."""
+    batch, weights, omega = make_instance(np.random.default_rng(23))
+    if knob == "jitter":  # a redraw_scale of None makes the in-memory episode follow the loaded rule
+        ep = generate_synthetic_episode(2, 2, 2, 4, SyntheticNoiseConfig(), seed=1, query_shot=0)
+        return resample_regions(dataclasses.replace(ep, redraw_scale=None), 2, value, seed=0)
+    if knob == "tau":
+        return local_compactness_loss(batch, weights, value)
+    return global_dispersion_loss(batch, weights, omega, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("knob", ["jitter", "tau", "pi"])
+def test_non_finite_knob_rejected_by_the_function_that_takes_it(knob, value):
+    with pytest.raises(InvalidParameterError, match=knob):
+        _knob_call(knob, value)

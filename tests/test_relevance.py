@@ -156,14 +156,6 @@ class TestRegionWeights:
         with pytest.raises(DegenerateVectorError):
             region_weights(feats, sample_of, class_of)
 
-    def test_without_out_of_class_term(self):
-        _, feats, sample_of, class_of = region_rows(grid_regions(2, 2, 2, seed=7))
-        table = region_weights(feats, sample_of, class_of, use_out_of_class=False)
-        validate_weight_table(table)
-        expected = brute_region_weights(feats, sample_of, class_of)
-        n_class = 4
-        assert np.allclose(table.weights, np.array(expected["phi_norm"]) * n_class, rtol=0, atol=1e-9)
-
     def test_table_invariants(self):
         _, feats, sample_of, class_of = region_rows(grid_regions(3, 3, 2, seed=8))
         table = region_weights(feats, sample_of, class_of)
