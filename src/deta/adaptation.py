@@ -250,7 +250,7 @@ class AdaptedState:
             fh.write(_indented(self.to_dict()) + "\n")
 
 
-def by_sample_id(sample_ids, values: np.ndarray) -> dict[str, float]:
+def by_sample_id(sample_ids, values: np.ndarray) -> dict:
     """Support-order values keyed by str(sample id), in increasing id order."""
     return {str(k): v for k, v in sorted(zip(sample_ids, values.tolist()))}
 

@@ -11,10 +11,9 @@ episode set identical across ablation variants.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -72,10 +71,14 @@ class BenchmarkConfig:
             raise InvalidParameterError("noise ratios must lie in [0, 1]")
         if not self.noise_ratios:
             raise InvalidParameterError("at least one noise ratio is required")
+        if len(set(self.noise_ratios)) != len(self.noise_ratios):
+            raise InvalidParameterError(f"repeated noise ratio in {self.noise_ratios}")
         if self.master_seed < 0:
             raise InvalidParameterError("master_seed must be non-negative")
         if self.way < 2 or self.shot < 1 or self.k_regions < 1 or self.feature_dim < 2:
             raise InvalidParameterError("invalid episode shape")
+        if self.query_shot < 1:
+            raise InvalidParameterError(f"query_shot must be >= 1, got {self.query_shot}")
         # Checks the noise knobs here, before any episode of the sweep runs.
         SyntheticNoiseConfig(distractor_mix=self.distractor_mix, class_separation=self.class_separation)
 
@@ -167,7 +170,7 @@ def run_episode(cfg: BenchmarkConfig, ratio: float, ratio_index: int, index: int
         seed=seed,
         noise_type=cfg.noise_type,
         noise_ratio=ratio_eff,
-        noise_tags={str(sid): tag for sid, tag in sorted(episode.noise_tags().items())},
+        noise_tags=by_sample_id(episode.sample_ids.tolist(), episode.noise),
     )
     report.baseline_accuracy = plain_ncc_accuracy(episode)
 
@@ -213,7 +216,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> AggregateReport:
         sep_pos = float(np.mean([s > 0.0 for s in seps])) if seps else None
         cells.append(
             CellAggregate(
-                cell_id=f"{cfg.noise_type}-{ratio:g}-{cfg.ablation.mask()}",
+                cell_id=reports[0].cell_id,
                 noise_type=cfg.noise_type,
                 noise_ratio=ratio,
                 ablation_mask=cfg.ablation.mask(),
@@ -252,43 +255,18 @@ CSV_COLUMNS = (
 
 
 def emit_report(report: AggregateReport, fmt: str, path) -> None:
-    """Write the aggregate as CSV (one row per cell) or JSON (full detail)."""
+    """Write the aggregate as CSV (one row per cell) or JSON (full detail).
+
+    csv.writer writes None as an empty field and a float as its repr.
+    """
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for cell in report.cells:
-                writer.writerow(
-                    [
-                        cell.cell_id,
-                        cell.noise_type,
-                        repr(cell.noise_ratio),
-                        cell.ablation_mask,
-                        cell.n_episodes,
-                        _fmt(cell.baseline_mean),
-                        _fmt(cell.baseline_ci95),
-                        _fmt(cell.deta_mean),
-                        _fmt(cell.deta_ci95),
-                        _fmt(cell.delta_mean),
-                        _fmt(cell.omega_separation),
-                    ]
-                )
+            writer.writerows([getattr(cell, c) for c in CSV_COLUMNS] for cell in report.cells)
     elif fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(report), fh, indent=2)
+            json.dump(asdict(report), fh, indent=2)
             fh.write("\n")
     else:
         raise InvalidParameterError(f"unknown report format {fmt!r}")
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def report_to_dict(report: AggregateReport) -> dict:
-    return {
-        "master_seed": report.master_seed,
-        "ablation_mask": report.ablation_mask,
-        "cells": [dataclasses.asdict(c) for c in report.cells],
-        "episodes": [dataclasses.asdict(e) for e in report.episodes],
-    }

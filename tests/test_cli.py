@@ -306,6 +306,22 @@ class TestBench:
         assert knob in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--query-shot", "0", "query_shot must be >= 1"),
+            ("--query-shot", "-1", "query_shot must be >= 1"),
+            ("--noise-ratios", "0.3,0.3", "repeated noise ratio"),
+        ],
+    )
+    def test_config_rejected_before_any_episode(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "r.csv"
+        args = self._bench_args(out)
+        args[args.index(flag) + 1] = value
+        assert run(args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jitter_is_not_a_bench_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(self._bench_args(tmp_path / "r.csv") + ["--jitter", "0.9"])

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from deta.harness import (
     AblationFlags,
     AggregateReport,
     BenchmarkConfig,
+    CellAggregate,
     emit_report,
     run_benchmark,
 )
@@ -93,6 +96,12 @@ class TestRunBenchmark:
             tiny_config(noise_ratios=(0.2, 1.5))
         with pytest.raises(InvalidParameterError):
             tiny_config(noise_ratios=())
+        for query_shot in (0, -1):
+            with pytest.raises(InvalidParameterError, match="query_shot must be >= 1"):
+                tiny_config(query_shot=query_shot)
+        for noise_type in ("label", "none"):
+            with pytest.raises(InvalidParameterError, match="repeated noise ratio"):
+                tiny_config(noise_type=noise_type, noise_ratios=(0.3, 0.1, 0.3))
 
     def test_ci_halves_when_episodes_quadruple(self):
         base = tiny_config(
@@ -151,6 +160,31 @@ class TestEmitReport:
         path = tmp_path / "report.json"
         emit_report(report, "json", path)
         assert load_report_json(path) == report
+
+    def test_csv_golden_bytes(self, tmp_path):
+        ok = CellAggregate(
+            "label-0.3-1111", "label", 0.3, "1111", 3, 0,
+            0.5, 0.1, 2 / 3, 0.05, 2 / 3 - 0.5, 0.25, 1.0,
+        )
+        diverged = CellAggregate(
+            "label-0.5-1111", "label", 0.5, "1111", 0, 3,
+            None, None, None, None, None, None, None,
+        )
+        report = AggregateReport(master_seed=5, ablation_mask="1111", cells=[ok, diverged], episodes=[])
+        path = tmp_path / "golden.csv"
+        emit_report(report, "csv", path)
+        assert path.read_bytes() == (
+            b"cell_id,noise_type,noise_ratio,ablation_mask,n_episodes,baseline_mean,"
+            b"baseline_ci95,deta_mean,deta_ci95,delta_mean,omega_separation\n"
+            b"label-0.3-1111,label,0.3,1111,3,0.5,0.1,0.6666666666666666,0.05,0.16666666666666663,0.25\n"
+            b"label-0.5-1111,label,0.5,1111,0,,,,,,\n"
+        )
+
+    def test_json_bytes_are_the_indented_dataclass(self, tmp_path):
+        report = run_benchmark(tiny_config(episodes_per_cell=2))
+        path = tmp_path / "report.json"
+        emit_report(report, "json", path)
+        assert path.read_text(encoding="utf-8") == json.dumps(dataclasses.asdict(report), indent=2) + "\n"
 
     def test_unknown_format(self, tmp_path):
         report = AggregateReport(master_seed=0, ablation_mask="1111", cells=[], episodes=[])
