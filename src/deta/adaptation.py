@@ -228,13 +228,8 @@ class AdaptedState:
 
     def to_dict(self) -> dict:
         return {
-            "adapter": {"w": self.adapter.w.tolist(), "b": self.adapter.b.tolist()},
-            "head": {
-                "w1": self.head.w1.tolist(),
-                "b1": self.head.b1.tolist(),
-                "w2": self.head.w2.tolist(),
-                "b2": self.head.b2.tolist(),
-            },
+            "adapter": {name: v.tolist() for name, v in vars(self.adapter).items()},
+            "head": {name: v.tolist() for name, v in vars(self.head).items()},
             "omega": by_sample_id(self.sample_ids, self.omega),
             "final_image_weights": by_sample_id(self.sample_ids, self.final_image_weights),
             "iterations": self.config.iterations,
@@ -245,39 +240,14 @@ class AdaptedState:
         }
 
     def save_json(self, path) -> None:
-        """Write to_dict() as json.dump(..., indent=2) would, plus a newline."""
+        """Write to_dict() as one line of compact JSON, the encoding of episode files."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_indented(self.to_dict()) + "\n")
+            fh.write(json.dumps(self.to_dict()) + "\n")
 
 
 def by_sample_id(sample_ids, values: np.ndarray) -> dict:
     """Support-order values keyed by str(sample id), in increasing id order."""
     return {str(k): v for k, v in sorted(zip(sample_ids, values.tolist()))}
-
-
-def _indented(obj, level: int = 0) -> str:
-    """json.dumps(obj, indent=2), with each flat list of numbers C-encoded in one call.
-
-    json.dump with an indent always takes the pure-Python encoder. A flat
-    number list is encoded by json.dumps (the C encoder) and then split at
-    its ", " separators, which never occur inside a JSON number. Dict keys
-    must be strings.
-    """
-    if not isinstance(obj, (dict, list)) or not obj:
-        return json.dumps(obj)
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict):
-        opening, closing = "{", "}"
-        body = ("," + inner).join(
-            f"{json.dumps(key)}: {_indented(value, level + 1)}" for key, value in obj.items()
-        )
-    else:
-        opening, closing = "[", "]"
-        if set(map(type, obj)) <= {int, float}:
-            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
-        else:
-            body = ("," + inner).join(_indented(value, level + 1) for value in obj)
-    return opening + inner + body + "\n" + "  " * level + closing
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -460,7 +460,9 @@ def load_episode_file(path) -> TaskEpisode:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except SchemaError:
+        raise
+    except (ValueError, RecursionError) as exc:  # too deep nesting, integers over 4300 digits
         raise ParseError(f"{path}: {exc}") from exc
     return episode_from_dict(doc)
 

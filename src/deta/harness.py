@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -239,31 +239,16 @@ def run_benchmark(cfg: BenchmarkConfig) -> AggregateReport:
     )
 
 
-CSV_COLUMNS = (
-    "cell_id",
-    "noise_type",
-    "noise_ratio",
-    "ablation_mask",
-    "n_episodes",
-    "baseline_mean",
-    "baseline_ci95",
-    "deta_mean",
-    "deta_ci95",
-    "delta_mean",
-    "omega_separation",
-)
-
-
 def emit_report(report: AggregateReport, fmt: str, path) -> None:
-    """Write the aggregate as CSV (one row per cell) or JSON (full detail).
+    """Write the aggregate as CSV (one row per cell, the CellAggregate fields) or JSON (full detail).
 
     csv.writer writes None as an empty field and a float as its repr.
     """
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows([getattr(cell, c) for c in CSV_COLUMNS] for cell in report.cells)
+            writer.writerow(f.name for f in fields(CellAggregate))
+            writer.writerows(astuple(cell) for cell in report.cells)
     elif fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(asdict(report), fh, indent=2)

@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -332,7 +331,7 @@ class TestAdaptTask:
         assert len(doc["loss_trace"]) == 2
 
     @pytest.mark.parametrize("empty_trace", [False, True])
-    def test_state_json_bytes_equal_indented_json_dump(self, tmp_path, empty_trace):
+    def test_state_json_bytes_equal_json_dumps(self, tmp_path, empty_trace):
         state = adapt_task(small_episode(seed=3), fast_cfg(iterations=2))
         state.adapter.w[0, :6] = [-0.0, 5e-324, 1e308, np.inf, np.nan, -1e-310]
         state.head.b2[:3] = [-np.inf, 2.2250738585072014e-308, 1e16]
@@ -341,10 +340,28 @@ class TestAdaptTask:
             state.loss_trace = []
         path = tmp_path / "state.json"
         state.save_json(path)
-        reference = io.StringIO()
-        json.dump(state.to_dict(), reference, indent=2)
-        reference.write("\n")
-        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+        assert path.read_bytes() == (json.dumps(state.to_dict()) + "\n").encode("utf-8")
+
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        pairs = [
+            (doc[group][name], value)
+            for group, params in (("adapter", state.adapter), ("head", state.head))
+            for name, value in vars(params).items()
+        ]
+        pairs += [
+            ([doc[key][str(sid)] for sid in state.sample_ids], values)
+            for key, values in (("omega", state.omega), ("final_image_weights", state.final_image_weights))
+        ]
+        assert len(doc["loss_trace"]) == len(state.loss_trace)
+        pairs += [
+            ([row["local"], row["global"], row["combined"]], [t.l_local, t.l_global, t.combined])
+            for row, t in zip(doc["loss_trace"], state.loss_trace)
+        ]
+        for stored, value in pairs:
+            stored, value = np.array(stored, dtype=np.float64), np.asarray(value, dtype=np.float64)
+            finite = np.isfinite(value)
+            assert np.array_equal(np.isfinite(stored), finite)
+            assert stored[finite].tobytes() == value[finite].tobytes()  # bit for bit, -0.0 included
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -1,11 +1,13 @@
-"""The benchmark's tracer still fits the package it wraps.
+"""The benchmark's tracer and output checks still fit the package they run.
 
 perfbench/tracing.py wraps deta functions by name and checks the calls that
-adapt_task makes in each iteration. A renamed function or a changed call
-pattern must fail here, not only in traced benchmark runs.
+adapt_task makes in each iteration; perfbench/workloads.py checks the files
+and reports deta writes. A renamed function, a changed call pattern or a
+changed output format must fail here, not only in benchmark runs.
 """
 
 import importlib.util
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 import deta.adaptation
 import deta.classifier
 import deta.cli
+import deta.episodes
 import deta.errors
 import deta.harness
 import deta.losses
@@ -22,7 +25,8 @@ import deta.relevance
 from deta.adaptation import AdaptationConfig
 from deta.harness import BenchmarkConfig
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -120,3 +124,21 @@ def test_traced_file_commands_keep_the_tracer_contract(tmp_path, capsys):
         assert after[owner].keys() == before[owner].keys()
         for name, value in before[owner].items():
             assert after[owner][name] is value, f"{owner.__name__}.{name} not restored"
+
+
+@pytest.fixture()
+def workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look up their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["file-roundtrip", "acceptance-mix"])
+def test_benchmark_output_checks_accept_what_deta_writes(workloads, tmp_path, name):
+    mods = types.SimpleNamespace(cli=deta.cli, episodes=deta.episodes, harness=deta.harness)
+    workload = workloads.WORKLOADS[name]()
+    workload.setup(mods, 1, tmp_path)
+    outcome = workload.check(0, workload.op(0))
+    assert (outcome.ok, outcome.valid) == (True, True), outcome.error

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -13,7 +14,7 @@ from deta.adaptation import adapt_task
 from deta.cli import _adaptation_config, build_parser, main
 from deta.episodes import load_episode_file
 from deta.errors import DivergenceError
-from deta.harness import CSV_COLUMNS
+from deta.harness import CellAggregate
 from oracles import load_report_json
 
 
@@ -109,6 +110,25 @@ class TestAdapt:
         assert code == 2
         sid = doc["support"][2]["id"]
         assert f"support sample {sid}, region 1: feature value out of float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["adapt", "weights"])
+    @pytest.mark.parametrize("case", ["deep-brackets", "deep-support", "long-integer"])
+    def test_json_beyond_decoder_limits_exits_config_error(self, tmp_path, capsys, episode_file,
+                                                          command, case):
+        text = episode_file.read_text()
+        if case == "deep-brackets":
+            text = "[" * 200_000
+        elif case == "deep-support":
+            text = text.replace('"support": [', '"support": ' + "[" * 5000 + "]" * 4999 + ", [", 1)
+        else:
+            text = re.sub(r"-?\d+\.\d+(e-?\d+)?", "9" * 5000, text, count=1)
+        bad = tmp_path / f"{case}.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        code = run([command, "--episode", str(bad), "--out", str(out)])
+        assert code == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("way", [10**12, 2_000_000])
     def test_way_beyond_support_exits_config_error_briefly(self, tmp_path, capsys, episode_file, way):
@@ -266,7 +286,7 @@ class TestBench:
         assert run(self._bench_args(out)) == 0
         with open(out) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(CSV_COLUMNS)
+        assert rows[0] == [f.name for f in dataclasses.fields(CellAggregate)]
         assert len(rows) == 2
         printed = capsys.readouterr().out
         assert "baseline=" in printed

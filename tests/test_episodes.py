@@ -339,9 +339,26 @@ class TestSerialization:
 
     def test_non_finite_constant_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
-        text = json.dumps(self._valid_doc()).replace("1.0", "NaN", 1)
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            text = json.dumps(self._valid_doc()).replace("1.0", constant, 1)
+            path.write_text(text)
+            with pytest.raises(SchemaError, match=f"non-finite JSON constant '{constant}'"):
+                load_episode_file(path)
+
+    @pytest.mark.parametrize("case", ["deep-brackets", "deep-support", "long-integer"])
+    def test_json_beyond_decoder_limits_is_parse_error(self, tmp_path, case):
+        # json.loads raises RecursionError for deep nesting and a bare
+        # ValueError for integers over 4300 digits, not JSONDecodeError.
+        text = json.dumps(self._valid_doc())
+        if case == "deep-brackets":
+            text = "[" * 200_000
+        elif case == "deep-support":
+            text = text.replace('"support": [', '"support": ' + "[" * 5000 + "]" * 4999 + ", [", 1)
+        else:
+            text = text.replace("1.0", "9" * 5000, 1)
+        path = tmp_path / f"{case}.json"
         path.write_text(text)
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError, match=f"{case}.json: "):
             load_episode_file(path)
 
 

@@ -138,12 +138,14 @@ class TestEmitReport:
             "noise_ratio",
             "ablation_mask",
             "n_episodes",
+            "n_failed",
             "baseline_mean",
             "baseline_ci95",
             "deta_mean",
             "deta_ci95",
             "delta_mean",
             "omega_separation",
+            "omega_separation_positive_fraction",
         ]
         assert all(len(r) == len(rows[0]) for r in rows)
 
@@ -174,10 +176,11 @@ class TestEmitReport:
         path = tmp_path / "golden.csv"
         emit_report(report, "csv", path)
         assert path.read_bytes() == (
-            b"cell_id,noise_type,noise_ratio,ablation_mask,n_episodes,baseline_mean,"
-            b"baseline_ci95,deta_mean,deta_ci95,delta_mean,omega_separation\n"
-            b"label-0.3-1111,label,0.3,1111,3,0.5,0.1,0.6666666666666666,0.05,0.16666666666666663,0.25\n"
-            b"label-0.5-1111,label,0.5,1111,0,,,,,,\n"
+            b"cell_id,noise_type,noise_ratio,ablation_mask,n_episodes,n_failed,baseline_mean,"
+            b"baseline_ci95,deta_mean,deta_ci95,delta_mean,omega_separation,"
+            b"omega_separation_positive_fraction\n"
+            b"label-0.3-1111,label,0.3,1111,3,0,0.5,0.1,0.6666666666666666,0.05,0.16666666666666663,0.25,1.0\n"
+            b"label-0.5-1111,label,0.5,1111,0,3,,,,,,,\n"
         )
 
     def test_json_bytes_are_the_indented_dataclass(self, tmp_path):
