@@ -197,8 +197,11 @@ class AdaptationConfig:
 
 
 @dataclass(frozen=True)
-class LossSummary:
-    iteration: int
+class IterationRecord:
+    """One iteration's region weight table, the image weights its losses used, and the loss parts."""
+
+    table: RegionWeightTable
+    image_weights: np.ndarray  # (n,)
     l_local: float
     l_global: float
     combined: float
@@ -210,21 +213,19 @@ class AdaptedState:
 
     omega (the momentum-smoothed image weights) and final_image_weights (the
     image weights the last iteration's losses used, which predict uses) are
-    (n,) arrays in support order; sample_ids names their entries. weight_trace
-    holds each iteration's region weight table and the image weights its
-    losses used: 8 * (3r + n) bytes per iteration for r region rows, about
-    10.4 KB at 10-way 10-shot k=4 and 2.8 KB at 5-way 10-shot k=2. It grows
-    with cfg.iterations; run_episode drops each state once scored.
+    (n,) arrays in support order; sample_ids names their entries. trace holds
+    one IterationRecord per iteration: 8 * (3r + n) bytes of arrays for r
+    region rows, and about 11.3 KB in all at 10-way 10-shot k=4 and 3.6 KB at
+    5-way 10-shot k=2, as tracemalloc measures it. It grows with
+    cfg.iterations; run_episode drops each state once scored.
     """
 
     adapter: AdapterParams
     head: ProjectionHead
     omega: np.ndarray
     sample_ids: tuple[int, ...]
-    loss_trace: list[LossSummary]
+    trace: list[IterationRecord]
     final_image_weights: np.ndarray
-    config: AdaptationConfig
-    weight_trace: list[tuple[RegionWeightTable, np.ndarray]]
 
     def to_dict(self) -> dict:
         return {
@@ -232,10 +233,10 @@ class AdaptedState:
             "head": {name: v.tolist() for name, v in vars(self.head).items()},
             "omega": by_sample_id(self.sample_ids, self.omega),
             "final_image_weights": by_sample_id(self.sample_ids, self.final_image_weights),
-            "iterations": self.config.iterations,
+            "iterations": len(self.trace),
             "loss_trace": [
-                {"iteration": t.iteration, "local": t.l_local, "global": t.l_global, "combined": t.combined}
-                for t in self.loss_trace
+                {"iteration": t, "local": r.l_local, "global": r.l_global, "combined": r.combined}
+                for t, r in enumerate(self.trace, start=1)
             ],
         }
 
@@ -283,8 +284,7 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     sample_of = np.repeat(np.arange(n), k)
     x_img = episode.support_features
 
-    loss_trace: list[LossSummary] = []
-    weight_trace: list[tuple[RegionWeightTable, np.ndarray]] = []
+    trace: list[IterationRecord] = []
     train = ab.local_loss or ab.global_loss
 
     for t in range(1, cfg.iterations + 1):
@@ -324,8 +324,7 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
             raise DivergenceError(str(exc), iteration=t) from exc
         if not np.isfinite(loss.combined):
             raise DivergenceError(f"non-finite loss {loss.combined}", iteration=t)
-        loss_trace.append(LossSummary(t, loss.l_local, loss.l_global, loss.combined))
-        weight_trace.append((table, omega_used))
+        trace.append(IterationRecord(table, omega_used, loss.l_local, loss.l_global, loss.combined))
 
         if train:
             grad = flat_gradient(head, img_cache, reg_cache, loss, x_img, x_reg)
@@ -336,8 +335,6 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
         head=head,
         omega=omega,
         sample_ids=sample_ids,
-        loss_trace=loss_trace,
+        trace=trace,
         final_image_weights=omega_used,
-        config=cfg,
-        weight_trace=weight_trace,
     )

@@ -55,7 +55,7 @@ def adapted_features(state: AdaptedState, *blocks) -> list[np.ndarray]:
     if not finite:
         raise DivergenceError(
             "adapted features are not finite or their norms overflow",
-            iteration=state.config.iterations,
+            iteration=len(state.trace),
         )
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .adaptation import AdaptationConfig, adapt_task
 from .classifier import adapted_features, evaluate, plain_ncc_accuracy
@@ -19,7 +20,7 @@ from .episodes import (
     load_episode_file,
     save_episode_file,
 )
-from .errors import DetaError, DivergenceError
+from .errors import DetaError, DivergenceError, InvalidParameterError
 from .harness import (
     ABLATION_PRESETS,
     NOISE_TYPES,
@@ -196,8 +197,9 @@ def _cmd_weights(args) -> int:
     k, ids = args.k_regions, state.sample_ids
     order = sorted(range(len(ids) * k), key=lambda row: ids[row // k])  # by sample id, then slot
     lines = ["iteration,sample_id,region_slot,phi,psi,lambda,omega\n"]
-    for t, (table, omega) in enumerate(state.weight_trace, start=1):
-        columns = (table.per_class_phi, table.per_class_psi, table.weights, omega)
+    for t, record in enumerate(state.trace, start=1):
+        table = record.table
+        columns = (table.per_class_phi, table.per_class_psi, table.weights, record.image_weights)
         phi, psi, lam, om = (c.tolist() for c in columns)
         # Integers and float reprs never need CSV quoting, so these are csv.writer's bytes.
         lines.extend(
@@ -224,6 +226,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that cannot be written as a file, before any work is done."""
+    out = Path(path).absolute()
+    if out.is_dir():
+        raise InvalidParameterError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise InvalidParameterError(f"--out {path}: {out.parent} is not an existing directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -234,6 +245,7 @@ def main(argv=None) -> int:
         "gen": _cmd_gen,
     }
     try:
+        _check_out(args.out)
         return handlers[args.command](args)
     except DivergenceError as exc:
         print(f"error: diverged at iteration {exc.iteration}: {exc}", file=sys.stderr)

@@ -184,9 +184,8 @@ def run_episode(cfg: BenchmarkConfig, ratio: float, ratio_index: int, index: int
         return report
     report.omega = by_sample_id(state.sample_ids, state.final_image_weights)
     report.omega_separation = _separation(state.final_image_weights, episode.noise)
-    if state.loss_trace:
-        report.loss_first = state.loss_trace[0].combined
-        report.loss_final = state.loss_trace[-1].combined
+    report.loss_first = state.trace[0].combined
+    report.loss_final = state.trace[-1].combined
     return report
 
 

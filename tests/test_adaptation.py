@@ -182,13 +182,13 @@ class TestAdaptTask:
         assert np.array_equal(short.head.b2, long.head.b2)
         assert np.all(long.adapter.w == 0.0)
         assert np.all(long.adapter.b == 0.0)
-        assert len(long.weight_trace) == 6
+        assert len(long.trace) == 6
 
     def test_single_iteration_first_branch(self):
         ep = small_episode()
         with_ma = adapt_task(ep, fast_cfg(iterations=1))
         without_ma = adapt_task(ep, fast_cfg(iterations=1, ablation=AblationFlags(accumulator=False)))
-        assert len(with_ma.weight_trace) == 1
+        assert len(with_ma.trace) == 1
         assert with_ma.final_image_weights == pytest.approx(without_ma.final_image_weights)
 
     def test_loss_trace_length_and_decrease(self):
@@ -196,16 +196,16 @@ class TestAdaptTask:
             5, 10, 2, 64, SyntheticNoiseConfig(label_noise_ratio=0.3), seed=42
         )
         state = adapt_task(ep, AdaptationConfig(seed=42))
-        assert len(state.loss_trace) == 40
-        assert state.loss_trace[-1].combined < state.loss_trace[0].combined
+        assert len(state.trace) == 40
+        assert state.trace[-1].combined < state.trace[0].combined
 
     def test_loss_trace_regression_goldens(self):
         ep = generate_synthetic_episode(
             5, 10, 2, 64, SyntheticNoiseConfig(label_noise_ratio=0.3), seed=42
         )
         state = adapt_task(ep, AdaptationConfig(seed=42))
-        assert state.loss_trace[0].combined == pytest.approx(2.417485563080197, rel=1e-9)
-        assert state.loss_trace[-1].combined == pytest.approx(0.8311171119283121, rel=1e-9)
+        assert state.trace[0].combined == pytest.approx(2.417485563080197, rel=1e-9)
+        assert state.trace[-1].combined == pytest.approx(0.8311171119283121, rel=1e-9)
 
     def test_wide_loss_trace_regression_goldens(self):
         # 400 regions per iteration, where relevance and the local loss do most of the work
@@ -213,8 +213,8 @@ class TestAdaptTask:
             10, 10, 4, 128, SyntheticNoiseConfig(image_noise_ratio=0.3), seed=42
         )
         state = adapt_task(ep, AdaptationConfig(k_regions=4, seed=42))
-        assert state.loss_trace[0].combined == pytest.approx(3.276708615303429, rel=1e-9)
-        assert state.loss_trace[-1].combined == pytest.approx(1.158193098116305, rel=1e-9)
+        assert state.trace[0].combined == pytest.approx(3.276708615303429, rel=1e-9)
+        assert state.trace[-1].combined == pytest.approx(1.158193098116305, rel=1e-9)
 
     def test_zero_norm_vector_is_divergence_at_its_iteration(self):
         # the first step overshoots and the next iteration meets a zero-norm prototype
@@ -246,7 +246,7 @@ class TestAdaptTask:
         assert np.array_equal(a.head.w1, b.head.w1)
         assert np.array_equal(a.head.w2, b.head.w2)
         assert np.array_equal(a.final_image_weights, b.final_image_weights)
-        assert [t.combined for t in a.loss_trace] == [t.combined for t in b.loss_trace]
+        assert [t.combined for t in a.trace] == [t.combined for t in b.trace]
 
     def test_zero_lr_accuracy_equals_weighted_ncc_on_raw_features(self):
         ep = small_episode(seed=7)
@@ -275,7 +275,7 @@ class TestAdaptTask:
                 5, 10, 2, 64, SyntheticNoiseConfig(label_noise_ratio=0.3), seed=9000 + i
             )
             state = adapt_task(ep, AdaptationConfig(seed=9000 + i))
-            trace = [t.combined for t in state.loss_trace]
+            trace = [t.combined for t in state.trace]
             downs += sum(trace[t + 1] <= trace[t] for t in range(len(trace) - 1))
             total += len(trace) - 1
         assert downs / total >= 0.9
@@ -301,15 +301,15 @@ class TestAdaptTask:
     def test_weight_trace_recording(self):
         ep = small_episode(seed=3)
         state = adapt_task(ep, fast_cfg(iterations=4))
-        trace = state.weight_trace
+        trace = state.trace
         assert trace is not None
-        assert sum(table.weights.size for table, _ in trace) == 4 * ep.n_support * 2
+        assert sum(t.table.weights.size for t in trace) == 4 * ep.n_support * 2
         assert len(trace) == 4
-        for table, omega in trace:
-            assert table.per_class_phi.shape == table.per_class_psi.shape == (ep.n_support * 2,)
-            assert omega.shape == (ep.n_support,)
-        assert np.array_equal(trace[-1][1], state.omega)
-        assert trace[-1][1] is state.final_image_weights
+        for t in trace:
+            assert t.table.per_class_phi.shape == t.table.per_class_psi.shape == (ep.n_support * 2,)
+            assert t.image_weights.shape == (ep.n_support,)
+        assert np.array_equal(trace[-1].image_weights, state.omega)
+        assert trace[-1].image_weights is state.final_image_weights
 
     def test_state_serialization(self, tmp_path):
         ep = small_episode(seed=3)
@@ -337,7 +337,7 @@ class TestAdaptTask:
         state.head.b2[:3] = [-np.inf, 2.2250738585072014e-308, 1e16]
         state.final_image_weights[0] = np.nan
         if empty_trace:
-            state.loss_trace = []
+            state.trace = []
         path = tmp_path / "state.json"
         state.save_json(path)
         assert path.read_bytes() == (json.dumps(state.to_dict()) + "\n").encode("utf-8")
@@ -352,10 +352,10 @@ class TestAdaptTask:
             ([doc[key][str(sid)] for sid in state.sample_ids], values)
             for key, values in (("omega", state.omega), ("final_image_weights", state.final_image_weights))
         ]
-        assert len(doc["loss_trace"]) == len(state.loss_trace)
+        assert len(doc["loss_trace"]) == len(state.trace)
         pairs += [
             ([row["local"], row["global"], row["combined"]], [t.l_local, t.l_global, t.combined])
-            for row, t in zip(doc["loss_trace"], state.loss_trace)
+            for row, t in zip(doc["loss_trace"], state.trace)
         ]
         for stored, value in pairs:
             stored, value = np.array(stored, dtype=np.float64), np.asarray(value, dtype=np.float64)

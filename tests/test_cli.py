@@ -225,11 +225,12 @@ class TestWeights:
         assert run(["weights", "--episode", str(episode_file), "--out", str(out)] + argv) == 0
         args = build_parser().parse_args(["weights", "--episode", "-", "--out", "-"] + argv)
         state = adapt_task(load_episode_file(episode_file), _adaptation_config(args))
-        k = state.config.k_regions
+        k = args.k_regions
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(["iteration", "sample_id", "region_slot", "phi", "psi", "lambda", "omega"])
-        for t, (table, omega) in enumerate(state.weight_trace, start=1):
+        for t, record in enumerate(state.trace, start=1):
+            table, omega = record.table, record.image_weights
             for sid, pos in sorted((sid, pos) for pos, sid in enumerate(state.sample_ids)):
                 for slot in range(k):
                     row = pos * k + slot
@@ -412,6 +413,30 @@ class TestBench:
             out = tmp_path / f"{preset}.csv"
             args = self._bench_args(out) + ["--ablation", preset]
             assert run(args) == 0
+
+
+@pytest.mark.parametrize("command", ["bench", "adapt", "weights", "gen"])
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, episode_file, command, kind):
+    import deta.cli as cli_module
+    import deta.harness as harness_module
+
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    counted(harness_module, "run_episode")
+    counted(cli_module, "load_episode_file")
+    counted(cli_module, "generate_synthetic_episode")
+    out = tmp_path / "missing" / "r.csv" if kind == "missing-directory" else tmp_path
+    source = {"bench": ["--episodes", "1", "--iterations", "1"], "gen": []}.get(
+        command, ["--episode", str(episode_file)]
+    )
+    assert run([command, "--out", str(out)] + source) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: --out")
 
 
 def test_readme_commands_parse():

@@ -30,7 +30,8 @@ TOL = 2.0**20 * np.finfo(np.float64).eps
 def run(doc):
     episode = episode_from_dict(doc)
     state = adapt_task(episode, CFG)
-    return state.final_image_weights, predict(episode, state)
+    losses = np.array([(r.l_local, r.l_global, r.combined) for r in state.trace])
+    return state.final_image_weights, predict(episode, state), losses
 
 
 @pytest.fixture(scope="module")
@@ -48,23 +49,25 @@ def base():
     ids=st.lists(st.integers(0, 10**6), min_size=N, max_size=N, unique=True),
 )
 def test_support_order_and_ids_leave_omega_and_predictions(base, order, ids):
-    doc, omega, pred = base
+    doc, omega, pred, losses = base
     support = [dict(doc["support"][p], id=ids[p]) for p in order]
-    new_omega, new_pred = run({**doc, "support": support})
+    new_omega, new_pred, new_losses = run({**doc, "support": support})
     position = {entry["id"]: j for j, entry in enumerate(support)}
     for p in range(N):
         assert abs(new_omega[position[ids[p]]] - omega[p]) <= TOL
     assert np.array_equal(new_pred, pred)
+    assert np.abs(new_losses - losses).max() <= TOL
 
 
 @settings(max_examples=15)
 @given(perm=st.permutations(range(WAY)))
 def test_class_relabeling_permutes_predictions(base, perm):
-    doc, _, pred = base
+    doc, _, pred, losses = base
     support = [dict(entry, label=perm[entry["label"]]) for entry in doc["support"]]
     queries = [dict(entry, label=perm[entry["label"]]) for entry in doc["queries"]]
-    _, new_pred = run({**doc, "support": support, "queries": queries})
+    _, new_pred, new_losses = run({**doc, "support": support, "queries": queries})
     assert np.array_equal(new_pred, np.array(perm)[pred])
+    assert np.abs(new_losses - losses).max() <= TOL
 
 
 @settings(max_examples=30)
