@@ -8,6 +8,7 @@ diverged (or a single adaptation run did).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -226,13 +227,17 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _check_out(path: str) -> None:
-    """Refuse an --out that cannot be written as a file, before any work is done."""
+def _check_out(args) -> None:
+    """Refuse an --out that cannot be written as a file or is the --episode input, before any work."""
+    path, episode = args.out, getattr(args, "episode", None)
     out = Path(path).absolute()
     if out.is_dir():
         raise InvalidParameterError(f"--out {path} is a directory")
     if not out.parent.is_dir():
         raise InvalidParameterError(f"--out {path}: {out.parent} is not an existing directory")
+    # Only existing files are compared: load_episode_file reports a missing --episode.
+    if episode and out.exists() and os.path.exists(episode) and os.path.samefile(out, episode):
+        raise InvalidParameterError(f"--out {path} is the --episode file {episode}")
 
 
 def main(argv=None) -> int:
@@ -245,7 +250,7 @@ def main(argv=None) -> int:
         "gen": _cmd_gen,
     }
     try:
-        _check_out(args.out)
+        _check_out(args)
         return handlers[args.command](args)
     except DivergenceError as exc:
         print(f"error: diverged at iteration {exc.iteration}: {exc}", file=sys.stderr)

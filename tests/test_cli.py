@@ -439,6 +439,30 @@ def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, epi
     assert capsys.readouterr().err.startswith("error: --out")
 
 
+@pytest.mark.parametrize("command", ["adapt", "weights"])
+@pytest.mark.parametrize("kind", ["same-path", "out-is-symlink", "episode-is-symlink"])
+def test_out_naming_the_episode_exits_before_any_work(
+    tmp_path, capsys, monkeypatch, episode_file, command, kind
+):
+    import deta.cli as cli_module
+
+    calls = []
+    real = cli_module.load_episode_file
+    monkeypatch.setattr(cli_module, "load_episode_file", lambda *a: calls.append(a) or real(*a))
+    before = episode_file.read_bytes()
+    link = tmp_path / "link.json"
+    link.symlink_to(episode_file)
+    episode, out = {
+        "same-path": (episode_file, episode_file),
+        "out-is-symlink": (episode_file, link),
+        "episode-is-symlink": (link, episode_file),
+    }[kind]
+    assert run([command, "--episode", str(episode), "--out", str(out)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert episode_file.read_bytes() == before
+
+
 def test_readme_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
