@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodes import TaskEpisode, resample_regions
+from .episodes import TaskEpisode, replacing_open, resample_regions
 from .errors import DegenerateVectorError, DivergenceError, InvalidParameterError
 from .losses import EmbeddingBatch, LossHyperparams, LossValue, combined_loss
 from .numerics import check_finite
@@ -242,7 +242,7 @@ class AdaptedState:
 
     def save_json(self, path) -> None:
         """Write to_dict() as one line of compact JSON, the encoding of episode files."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing_open(path) as fh:
             fh.write(json.dumps(self.to_dict()) + "\n")
 
 

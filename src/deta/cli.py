@@ -19,6 +19,7 @@ from .episodes import (
     SyntheticNoiseConfig,
     generate_synthetic_episode,
     load_episode_file,
+    replacing_open,
     save_episode_file,
 )
 from .errors import DetaError, DivergenceError, InvalidParameterError
@@ -206,7 +207,7 @@ def _cmd_weights(args) -> int:
         lines.extend(
             f"{t},{ids[r // k]},{r % k},{phi[r]!r},{psi[r]!r},{lam[r]!r},{om[r // k]!r}\n" for r in order
         )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with replacing_open(args.out, newline="") as fh:
         fh.write("".join(lines))
     print(f"weight trace written to {args.out}")
     return EXIT_OK

@@ -11,11 +11,17 @@ stored regions and add jitter.
 from __future__ import annotations
 
 import bisect
+import io
 import json
 import math
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import InvalidParameterError, ParseError, SchemaError
 from .numerics import check_finite
@@ -451,13 +457,48 @@ def episode_from_dict(doc: dict) -> TaskEpisode:
     )
 
 
+_WIRE_DEPTH = 5  # episode object > support list > entry > regions list > region row
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_NESTING_STEP = np.zeros(256, dtype=np.int8)
+_NESTING_STEP[list(b"[{")] = 1
+_NESTING_STEP[list(b"]}")] = -1
+
+
+def _shallow_and_unescaped(data: bytes) -> bool:
+    """True if data holds no backslash and nests at most _WIRE_DEPTH deep outside strings.
+
+    Without escapes a string ends at its next quote, so the brackets outside
+    quote pairs give the nesting a parser reaches before its first error.
+    """
+    if b"\\" in data:
+        return False
+    marks = np.frombuffer(data.translate(None, _NOT_STRUCTURE), dtype=np.uint8)
+    outside = np.cumsum(marks == ord('"')) % 2 == 0
+    depth = np.cumsum(np.where(outside, _NESTING_STEP[marks], 0))
+    return depth.size == 0 or int(depth.max()) <= _WIRE_DEPTH
+
+
 def load_episode_file(path) -> TaskEpisode:
-    """Load and validate an episode from a UTF-8 JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Load and validate an episode from a UTF-8 JSON file.
+
+    orjson parses the file. A file it refuses, or whose document the schema
+    refuses, is decoded again by Python's json, whose refusal is the one
+    reported: orjson words its errors differently and reads integers beyond
+    64 bits as floats. Text that nests deeper than a valid episode or holds an
+    escape goes to json alone, since orjson overflows the C stack on deep
+    nesting.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _shallow_and_unescaped(data):
         try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+            return episode_from_dict(orjson.loads(data))
+        except (orjson.JSONDecodeError, SchemaError):
+            pass
+    try:  # what a text-mode read of the file gives, newline translation included
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except SchemaError:
@@ -499,7 +540,7 @@ def save_episode_file(episode: TaskEpisode, path) -> None:
         "feature_dim": episode.feature_dim,
         "way": episode.way,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing_open(path) as fh:
         fh.write(json.dumps(header)[:-1])
         for key, entries in (("support", support), ("queries", queries)):
             fh.write(f', "{key}": [')
@@ -507,3 +548,23 @@ def save_episode_file(episode: TaskEpisode, path) -> None:
                 fh.write((", " if i else "") + json.dumps(entry))
             fh.write("]")
         fh.write("}\n")
+
+
+@contextmanager
+def replacing_open(path, newline=None):
+    """Open a sibling temporary file for UTF-8 text; on success it replaces path.
+
+    A write that fails leaves the old file, or none, and no temporary file.
+    The file is made by open, so its mode bits follow the umask. A symbolic
+    link is followed, as open would: the file it names is replaced.
+    """
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -23,6 +23,7 @@ from .episodes import (
     NOISE_CLEAN,
     SyntheticNoiseConfig,
     generate_synthetic_episode,
+    replacing_open,
 )
 from .errors import DivergenceError, InvalidParameterError
 
@@ -244,12 +245,12 @@ def emit_report(report: AggregateReport, fmt: str, path) -> None:
     csv.writer writes None as an empty field and a float as its repr.
     """
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with replacing_open(path, newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(f.name for f in fields(CellAggregate))
             writer.writerows(astuple(cell) for cell in report.cells)
     elif fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing_open(path) as fh:
             json.dump(asdict(report), fh, indent=2)
             fh.write("\n")
     else:

@@ -16,8 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deta.episodes import NOISE_CLEAN, NOISE_IMAGE, NOISE_LABEL, TaskEpisode, _unit_directions
-from deta.errors import InvalidParameterError
+from deta.episodes import (
+    NOISE_CLEAN,
+    NOISE_IMAGE,
+    NOISE_LABEL,
+    TaskEpisode,
+    _unit_directions,
+    episode_from_dict,
+)
+from deta.errors import InvalidParameterError, ParseError, SchemaError
 from deta.harness import AggregateReport, CellAggregate, EpisodeReport
 from deta.losses import EmbeddingBatch
 from deta.relevance import RegionIndex, RegionWeightTable
@@ -214,6 +221,26 @@ def episode_dict(episode) -> dict:
 def episode_bytes(episode) -> bytes:
     """Canonical serialized form, for determinism checks."""
     return (json.dumps(episode_dict(episode)) + "\n").encode("utf-8")
+
+
+def stdlib_load_episode_file(path) -> TaskEpisode:
+    """The episode loader on Python's json decoder alone: a text-mode read, then json.loads."""
+
+    def reject_constant(name):
+        raise SchemaError(f"non-finite JSON constant {name!r} not allowed")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except SchemaError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return episode_from_dict(doc)
 
 
 def _round_half_away(x: float) -> int:

@@ -1,9 +1,13 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -461,6 +465,70 @@ def test_out_naming_the_episode_exits_before_any_work(
     assert calls == []
     assert capsys.readouterr().err.startswith("error: --out")
     assert episode_file.read_bytes() == before
+
+
+class _HalfWrite:
+    """A text file whose first write puts half its text on disk, then fails as a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("command", ["adapt", "weights", "bench-csv", "bench-json", "gen"])
+@pytest.mark.parametrize("old", [None, b"old output\n"])
+def test_failed_write_leaves_old_file_and_no_temporary(tmp_path, capsys, monkeypatch, episode_file,
+                                                       command, old):
+    import deta.episodes as episodes_module
+
+    real_open = open
+
+    def half_writing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _HalfWrite(fh) if set(mode) & set("wxa") else fh
+
+    out = tmp_path / "out"
+    if old is not None:
+        out.write_bytes(old)
+    before = sorted(tmp_path.iterdir())
+    argv = {
+        "bench-csv": ["bench", "--episodes", "1", "--iterations", "1"],
+        "bench-json": ["bench", "--episodes", "1", "--iterations", "1", "--format", "json"],
+        "gen": ["gen"],
+    }.get(command, [command, "--episode", str(episode_file), "--iterations", "2"])
+    monkeypatch.setattr(episodes_module, "open", half_writing_open, raising=False)
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 28]")
+    assert sorted(tmp_path.iterdir()) == before
+    assert (out.read_bytes() if out.exists() else None) == old
+
+
+def test_nesting_past_the_stack_is_refused_in_a_subprocess(tmp_path):
+    # orjson overflows the C stack on nesting like this, which kills the
+    # process by SIGSEGV; the loader must leave such text to Python's json.
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "deta.cli", "adapt", "--episode", str(bad), "--out", str(tmp_path / "s.json")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2, (done.returncode, done.stderr[-2000:])
+    assert done.stderr.startswith(f"error: {bad}: maximum recursion depth exceeded")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_readme_commands_parse():

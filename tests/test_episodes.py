@@ -1,8 +1,10 @@
 import io
 import itertools
 import json
+import os
+import stat
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,20 +17,23 @@ from deta.episodes import (
     NOISE_IMAGE,
     NOISE_LABEL,
     SyntheticNoiseConfig,
+    TaskEpisode,
     corrupt_labels,
     episode_from_dict,
     generate_synthetic_episode,
     load_episode_file,
+    replacing_open,
     resample_regions,
     save_episode_file,
 )
-from deta.errors import InvalidParameterError, ParseError, SchemaError
+from deta.errors import DetaError, InvalidParameterError, ParseError, SchemaError
 from oracles import (
     episode_bytes,
     episode_dict,
     episode_from_samples,
     per_sample_episode,
     per_sample_resample,
+    stdlib_load_episode_file,
 )
 
 
@@ -412,6 +417,193 @@ class TestWriter:
         doc = episode_dict(ep)
         assert path.read_bytes() == self._reference_bytes(5, 16, doc["support"], doc["queries"])
         assert path.read_bytes() == episode_bytes(ep)
+
+
+def _differential_corpus() -> dict[str, bytes]:
+    """Episode files, valid and refused, named by what each one tests."""
+    doc = TestSerialization()._valid_doc()
+    text = json.dumps(doc)
+
+    def edited(path, value):
+        copy = json.loads(text)
+        *parents, key = path
+        target = copy
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        return json.dumps(copy)
+
+    cases = {
+        "valid": text,
+        "valid-indented-crlf": json.dumps(doc, indent=2).replace("\n", "\r\n"),
+        "malformed": "{not json",
+        "empty": "",
+        "top-level-list": "[]",
+        "trailing-content": text + " x",
+        "unknown-key": text[:-1] + ', "extra": 1}',
+        "missing-key": text.replace(', "queries": [{"id": 2, "label": 0, "image_feature": [1.0, 0.0]}]', ""),
+        "bad-version": edited(("version",), 2),
+        "wrong-dimension": edited(("support", 1, "regions"), [[0.0, 1.0, 2.0]]),
+        "unknown-class": edited(("support", 0, "label"), 7),
+        "duplicate-id": edited(("support", 1, "id"), 0),
+        "class-without-support": edited(("support", 1, "label"), 0),
+        "empty-class-listing": json.dumps(
+            dict(doc, way=30, support=[dict(doc["support"][0], id=i) for i in range(30)])
+        ),
+        "control-character-in-key": text.replace('"way"', '"w\x01ay"'),
+        "lone-surrogate-escape": text.replace('"way"', '"\\ud800"'),
+        "escaped-id-key": text.replace('"id"', '"\\u0069d"'),
+        "string-holding-brackets": edited(("support", 1, "label"), "]]]]"),
+        "key-holding-brackets": text[:-1] + ', "[[[[[[[[": 1}',
+        "duplicate-keys-last-valid": text.replace('"version": 1', '"version": 2, "version": 1'),
+        "duplicate-keys-last-bad": text.replace('"version": 1', '"version": 1, "version": 2'),
+        "nan": text.replace("1.0", "NaN", 1),
+        "infinity": text.replace("1.0", "Infinity", 1),
+        "minus-infinity": text.replace("1.0", "-Infinity", 1),
+        "1e999": text.replace("1.0", "1e999", 1),
+        "minus-1e999": text.replace("1.0", "-1e999", 1),
+        "double-max-overflow": text.replace("1.0", "1.7976931348623159e308", 1),
+        "double-max": text.replace("1.0", "1.7976931348623157e308", 1),
+        "subnormals": text.replace("1.0", "4.9406564584124654e-324", 1).replace("0.0", "2.2250738585072011e-308", 1),
+        "underflow-to-zero": text.replace("1.0", "1e-400", 1),
+        "minus-zero": text.replace("1.0", "-0.0", 1).replace("0.0]", "-0]", 1),
+        "long-mantissa": text.replace("1.0", "0." + "3" * 60, 1),
+        "long-integer": text.replace("1.0", "9" * 5000, 1),
+        "deep-brackets": "[" * 200_000,
+        "deep-support": text.replace('"support": [', '"support": ' + "[" * 5000 + "]" * 4999 + ", [", 1),
+        "nested-one-too-deep": edited(("support", 1, "regions"), [[[0.0, 1.0]]]),
+        "feature-10e30": edited(("support", 1, "image_feature"), [0, 10**30]),
+        "feature-minus-10e30": edited(("support", 1, "image_feature"), [0, -(10**30)]),
+        "feature-10e400": edited(("support", 1, "image_feature"), [0, 10**400]),
+        "way-3": edited(("way",), 3),
+        "way-2e6": edited(("way",), 2_000_000),
+        "way-1e12": edited(("way",), 10**12),
+        "way-2e70": edited(("way",), 2**70),
+    }
+    for bad in (True, "1.0", None, [1.0]):
+        cases[f"feature-{json.dumps(bad)}"] = edited(("support", 1, "regions"), [[0.0, bad]])
+    for path, value in [
+        (("version",), True), (("way",), True), (("feature_dim",), True),
+        (("support", 0, "id"), False), (("support", 1, "label"), True),
+        (("queries", 0, "id"), True), (("queries", 0, "label"), False),
+    ]:
+        cases["bool-" + "-".join(map(str, path))] = edited(path, value)
+    for sid in (2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70, -(2**63), -(2**63) - 1):
+        cases[f"support-id-{sid}"] = edited(("support", 1, "id"), sid)
+        cases[f"query-id-{sid}"] = edited(("queries", 0, "id"), sid)
+    corpus = {name: value.encode("utf-8") for name, value in cases.items()}
+    corpus["bom"] = b"\xef\xbb\xbf" + text.encode()
+    corpus["not-utf8"] = bytes(range(128, 228))
+    corpus["random-bytes"] = np.random.default_rng(0).bytes(100)
+    corpus["utf8-in-key"] = text.replace('"way"', '"wäy"').encode()
+    for seed, noise in [(4, {}), (5, {"label_noise_ratio": 0.3, "image_noise_ratio": 0.2})]:
+        corpus[f"generated-{seed}"] = episode_bytes(make_episode(seed=seed, **noise))
+    written = episode_from_samples(2, 2, TestWriter.SUPPORT, TestWriter.QUERIES)
+    corpus["generated-edge-floats"] = episode_bytes(written)
+    return corpus
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except (DetaError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    """Equal refusals, or equal episodes whose arrays match in dtype, shape and bits."""
+    if not isinstance(want, TaskEpisode):
+        assert got == want
+        return
+    assert isinstance(got, TaskEpisode)
+    for f in fields(TaskEpisode):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if not isinstance(b, np.ndarray):
+            assert a == b, f.name
+        elif b.dtype == object:  # ids beyond 64 bits stay Python ints
+            assert [(type(x), x) for x in a.tolist()] == [(type(x), x) for x in b.tolist()], f.name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+class TestLoaderMatchesStdlib:
+    """load_episode_file against the json-only reference loader in oracles."""
+
+    CORPUS = _differential_corpus()
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_same_episode_or_same_refusal(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(self.CORPUS[name])
+        _assert_same_outcome(
+            _outcome(load_episode_file, path), _outcome(stdlib_load_episode_file, path)
+        )
+
+    def test_corpus_holds_valid_and_refused_files(self, tmp_path):
+        kinds = Counter()
+        for name, data in self.CORPUS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(data)
+            kinds[type(_outcome(stdlib_load_episode_file, path)).__name__] += 1
+        assert kinds["TaskEpisode"] >= 10 and kinds["tuple"] >= 40
+
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_unreadable_path_same_error(self, tmp_path, missing):
+        path = tmp_path / "nope.json" if missing else tmp_path
+        _assert_same_outcome(
+            _outcome(load_episode_file, path), _outcome(stdlib_load_episode_file, path)
+        )
+
+    @given(literal=st.from_regex(
+        r"\A-?(0|[1-9][0-9]{0,39})(\.[0-9]{1,40})?([eE][-+]?[0-9]{1,3})?\Z"
+    ))
+    def test_decimal_literals_parse_to_the_same_bits(self, tmp_path_factory, literal):
+        text = json.dumps(TestSerialization()._valid_doc()).replace("1.0", literal, 1)
+        path = tmp_path_factory.mktemp("literal") / "ep.json"
+        path.write_text(text)
+        _assert_same_outcome(
+            _outcome(load_episode_file, path), _outcome(stdlib_load_episode_file, path)
+        )
+
+class TestReplacingOpen:
+    def test_success_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with replacing_open(path, newline="") as fh:
+            fh.write("a\r\nb\n")
+        assert path.read_bytes() == b"a\r\nb\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("old", [None, "old\n"])
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failure_keeps_the_old_file_and_no_temporary(self, tmp_path, old, error):
+        path = tmp_path / "out.json"
+        if old is not None:
+            path.write_text(old)
+        with pytest.raises(error):
+            with replacing_open(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise error()
+        assert (path.read_text() if path.exists() else None) == old
+        assert os.listdir(tmp_path) == ([] if old is None else ["out.json"])
+
+    def test_a_symbolic_link_keeps_naming_the_written_file(self, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        with replacing_open(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and real.read_text() == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_mode_bits_follow_the_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "out.json"
+        with replacing_open(path) as fh:
+            fh.write("{}")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 class TestResampleRegions:
