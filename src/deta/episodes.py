@@ -16,6 +16,7 @@ import json
 import math
 import os
 import secrets
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -554,10 +555,22 @@ def save_episode_file(episode: TaskEpisode, path) -> None:
 def replacing_open(path, newline=None):
     """Open a sibling temporary file for UTF-8 text; on success it replaces path.
 
-    A write that fails leaves the old file, or none, and no temporary file.
-    The file is made by open, so its mode bits follow the umask. A symbolic
-    link is followed, as open would: the file it names is replaced.
+    A write that raises leaves the old file, or none, and no temporary file;
+    the temporary is not fsynced, so a crash or power loss may still leave a
+    short file. The file is made by open, so its mode bits follow the umask.
+    A symbolic link is followed, as open would: the file it names is replaced.
+    A path that exists but is not a regular file (a FIFO, /dev/null, a
+    terminal) is opened and written in place, since replacing it would put a
+    regular file where the device or pipe was.
     """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
     target = Path(os.path.realpath(path))
     tmp = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline=newline)

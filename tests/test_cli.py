@@ -6,8 +6,10 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -511,6 +513,22 @@ def test_failed_write_leaves_old_file_and_no_temporary(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err.startswith("error: [Errno 28]")
     assert sorted(tmp_path.iterdir()) == before
     assert (out.read_bytes() if out.exists() else None) == old
+
+
+@pytest.mark.parametrize("command", ["adapt", "weights"])
+def test_out_naming_a_fifo_writes_through_it(tmp_path, capsys, episode_file, command):
+    regular, fifo = tmp_path / "regular", tmp_path / "out.fifo"
+    argv = [command, "--episode", str(episode_file), "--iterations", "2", "--out"]
+    assert run(argv + [str(regular)]) == 0
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(argv + [str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert received == [regular.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([episode_file.name, "out.fifo", "regular"])
 
 
 def test_nesting_past_the_stack_is_refused_in_a_subprocess(tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import stat
+import threading
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -596,6 +597,19 @@ class TestReplacingOpen:
             fh.write("new\n")
         assert link.is_symlink() and real.read_text() == "new\n"
         assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with replacing_open(fifo, newline="") as fh:
+            fh.write("a\r\nb\n")
+        reader.join(timeout=30)
+        assert received == [b"a\r\nb\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert os.listdir(tmp_path) == ["out.fifo"]
 
     def test_mode_bits_follow_the_umask(self, tmp_path):
         umask = os.umask(0o022)
