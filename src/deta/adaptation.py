@@ -10,11 +10,11 @@ Gradients are backpropagated by hand; weights never receive gradient.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .episodes import TaskEpisode, replacing_open, resample_regions
 from .errors import DegenerateVectorError, DivergenceError, InvalidParameterError
@@ -241,9 +241,12 @@ class AdaptedState:
         }
 
     def save_json(self, path) -> None:
-        """Write to_dict() as one line of compact JSON, the encoding of episode files."""
+        """Write to_dict() as one line of orjson; NaN and infinity, which it writes as null, are refused."""
+        params = {f"{g}.{k}": v for g in ("adapter", "head") for k, v in vars(getattr(self, g)).items()}
+        check_finite(**params, omega=self.omega, final_image_weights=self.final_image_weights,
+                     loss_trace=[(r.l_local, r.l_global, r.combined) for r in self.trace])
         with replacing_open(path) as fh:
-            fh.write(json.dumps(self.to_dict()) + "\n")
+            fh.write(orjson.dumps(self.to_dict()).decode() + "\n")
 
 
 def by_sample_id(sample_ids, values: np.ndarray) -> dict:

@@ -516,39 +516,36 @@ def _reject_constant(name: str):
 def save_episode_file(episode: TaskEpisode, path) -> None:
     """Write the episode in the wire format. Evaluation-only fields are dropped.
 
-    The bytes are those of json.dump of the whole document. Each entry is
-    encoded alone with json.dumps, which uses the C encoder (json.dump never
-    does), and written at once, so the document string is never built whole.
+    orjson writes each feature row and each sample's region block with the
+    shortest digits that read back to the same double. f-strings write ids
+    and labels, since orjson refuses integers beyond 64 bits, and join the
+    document. orjson would write NaN and infinity as null, so non-finite
+    features are refused before the file is opened.
     """
+    images, regions, queries = (
+        np.ascontiguousarray(a, dtype=np.float64)
+        for a in (episode.support_features, episode.regions, episode.query_features)
+    )
+    check_finite(support_features=images, regions=regions, query_features=queries)
+
+    def dumps(rows) -> str:
+        return orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+
     off = episode.region_offsets.tolist()
-    support = (
-        {
-            "id": sid,
-            "label": label,
-            "image_feature": episode.support_features[i].tolist(),
-            "regions": episode.regions[off[i] : off[i + 1]].tolist(),
-        }
+    support = ",".join(
+        f'{{"id":{sid},"label":{label},"image_feature":{dumps(images[i])},'
+        f'"regions":{dumps(regions[off[i] : off[i + 1]])}}}'
         for i, (sid, label) in enumerate(zip(episode.sample_ids.tolist(), episode.labels.tolist()))
     )
-    queries = (
-        {"id": qid, "label": label, "image_feature": episode.query_features[i].tolist()}
-        for i, (qid, label) in enumerate(
-            zip(episode.query_ids.tolist(), episode.query_labels.tolist())
-        )
+    query_entries = ",".join(
+        f'{{"id":{qid},"label":{label},"image_feature":{dumps(queries[i])}}}'
+        for i, (qid, label) in enumerate(zip(episode.query_ids.tolist(), episode.query_labels.tolist()))
     )
-    header = {
-        "version": EPISODE_FORMAT_VERSION,
-        "feature_dim": episode.feature_dim,
-        "way": episode.way,
-    }
     with replacing_open(path) as fh:
-        fh.write(json.dumps(header)[:-1])
-        for key, entries in (("support", support), ("queries", queries)):
-            fh.write(f', "{key}": [')
-            for i, entry in enumerate(entries):
-                fh.write((", " if i else "") + json.dumps(entry))
-            fh.write("]")
-        fh.write("}\n")
+        fh.write(
+            f'{{"version":{EPISODE_FORMAT_VERSION},"feature_dim":{episode.feature_dim},'
+            f'"way":{episode.way},"support":[{support}],"queries":[{query_entries}]}}\n'
+        )
 
 
 @contextmanager

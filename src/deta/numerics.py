@@ -7,18 +7,17 @@ the helpers are deliberately strict about degenerate inputs.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import EmptyClassError, InvalidParameterError
 
 
-def check_finite(**knobs: float) -> None:
-    """Reject non-finite configuration values, naming the offending knob."""
-    for name, value in knobs.items():
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value}")
+def check_finite(**values) -> None:
+    """Reject non-finite configuration values or arrays, naming the first offender."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            shown = value if np.isscalar(value) else "NaN or infinity in the array"
+            raise InvalidParameterError(f"{name} must be finite, got {shown}")
 
 
 def _as_vector(x, name: str) -> np.ndarray:

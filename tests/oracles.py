@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from deta.episodes import (
     NOISE_CLEAN,
@@ -219,7 +220,15 @@ def episode_dict(episode) -> dict:
 
 
 def episode_bytes(episode) -> bytes:
-    """Canonical serialized form, for determinism checks."""
+    """The bytes save_episode_file writes: orjson of the whole wire-format dict.
+
+    orjson refuses integers beyond 64 bits, so every id must fit.
+    """
+    return orjson.dumps(episode_dict(episode)) + b"\n"
+
+
+def stdlib_episode_bytes(episode) -> bytes:
+    """The bytes save_episode_file wrote before it used orjson: json.dumps of the whole dict."""
     return (json.dumps(episode_dict(episode)) + "\n").encode("utf-8")
 
 

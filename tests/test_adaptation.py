@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
+import orjson
 import pytest
 
 from deta.adaptation import (
@@ -333,35 +336,52 @@ class TestAdaptTask:
     @pytest.mark.parametrize("empty_trace", [False, True])
     def test_state_json_bytes_equal_json_dumps(self, tmp_path, empty_trace):
         state = adapt_task(small_episode(seed=3), fast_cfg(iterations=2))
-        state.adapter.w[0, :6] = [-0.0, 5e-324, 1e308, np.inf, np.nan, -1e-310]
-        state.head.b2[:3] = [-np.inf, 2.2250738585072014e-308, 1e16]
-        state.final_image_weights[0] = np.nan
+        state.adapter.w[0, :7] = [-0.0, 5e-324, 1e308, 1e16, 1.5e-05, -1e-310, 1e-07]
+        state.head.b2[:3] = [-1e300, 2.2250738585072014e-308, 9.999999999999998e-05]
+        state.final_image_weights[0] = -5e-324
         if empty_trace:
             state.trace = []
         path = tmp_path / "state.json"
         state.save_json(path)
-        assert path.read_bytes() == (json.dumps(state.to_dict()) + "\n").encode("utf-8")
+        assert path.read_bytes() == orjson.dumps(state.to_dict()) + b"\n"
 
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        pairs = [
-            (doc[group][name], value)
-            for group, params in (("adapter", state.adapter), ("head", state.head))
-            for name, value in vars(params).items()
-        ]
-        pairs += [
-            ([doc[key][str(sid)] for sid in state.sample_ids], values)
-            for key, values in (("omega", state.omega), ("final_image_weights", state.final_image_weights))
-        ]
-        assert len(doc["loss_trace"]) == len(state.trace)
-        pairs += [
-            ([row["local"], row["global"], row["combined"]], [t.l_local, t.l_global, t.combined])
-            for row, t in zip(doc["loss_trace"], state.trace)
-        ]
-        for stored, value in pairs:
-            stored, value = np.array(stored, dtype=np.float64), np.asarray(value, dtype=np.float64)
-            finite = np.isfinite(value)
-            assert np.array_equal(np.isfinite(stored), finite)
-            assert stored[finite].tobytes() == value[finite].tobytes()  # bit for bit, -0.0 included
+        for doc in (json.loads(path.read_text(encoding="utf-8")), orjson.loads(path.read_bytes())):
+            pairs = [
+                (doc[group][name], value)
+                for group, params in (("adapter", state.adapter), ("head", state.head))
+                for name, value in vars(params).items()
+            ]
+            pairs += [
+                ([doc[key][str(sid)] for sid in state.sample_ids], values)
+                for key, values in (("omega", state.omega), ("final_image_weights", state.final_image_weights))
+            ]
+            assert len(doc["loss_trace"]) == len(state.trace)
+            pairs += [
+                ([row["local"], row["global"], row["combined"]], [t.l_local, t.l_global, t.combined])
+                for row, t in zip(doc["loss_trace"], state.trace)
+            ]
+            for stored, value in pairs:
+                stored, value = np.array(stored, dtype=np.float64), np.asarray(value, dtype=np.float64)
+                assert stored.tobytes() == value.tobytes()  # bit for bit, -0.0 included
+
+    @pytest.mark.parametrize("field", ["adapter.w", "head.b2", "omega", "final_image_weights", "loss_trace"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_refused_before_the_file_opens(self, tmp_path, field, value):
+        state = adapt_task(small_episode(seed=3), fast_cfg(iterations=2))
+        if field == "loss_trace":
+            state.trace[-1] = dataclasses.replace(state.trace[-1], combined=value)
+        elif field in ("omega", "final_image_weights"):  # one array while the accumulator is on
+            setattr(state, field, getattr(state, field).copy())
+            getattr(state, field)[0] = value
+        else:
+            group, name = field.split(".")
+            getattr(getattr(state, group), name).flat[-1] = value
+        path = tmp_path / "state.json"
+        path.write_bytes(b"old")
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be finite, got NaN or infinity"):
+            state.save_json(path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["state.json"]
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -21,7 +21,7 @@ from deta.cli import _adaptation_config, build_parser, main
 from deta.episodes import load_episode_file
 from deta.errors import DivergenceError
 from deta.harness import CellAggregate
-from oracles import load_report_json
+from oracles import load_report_json, stdlib_episode_bytes
 
 
 def run(argv):
@@ -123,11 +123,14 @@ class TestAdapt:
                                                           command, case):
         text = episode_file.read_text()
         if case == "deep-brackets":
-            text = "[" * 200_000
+            edited, count = "[" * 200_000, 1
         elif case == "deep-support":
-            text = text.replace('"support": [', '"support": ' + "[" * 5000 + "]" * 4999 + ", [", 1)
+            edited, count = re.subn(r'"support"\s*:\s*\[', '"support":' + "[" * 5000 + "]" * 4999 + ",[",
+                                    text, count=1)
         else:
-            text = re.sub(r"-?\d+\.\d+(e-?\d+)?", "9" * 5000, text, count=1)
+            edited, count = re.subn(r"-?\d+\.\d+(e-?\d+)?", "9" * 5000, text, count=1)
+        assert count == 1 and edited != text
+        text = edited
         bad = tmp_path / f"{case}.json"
         bad.write_text(text)
         out = tmp_path / "out"
@@ -268,6 +271,26 @@ class TestWeights:
         for name in ("omega", "final_image_weights"):
             assert list(doc[name]) == [str(sid) for sid in sorted(last)]
             assert {int(sid): w for sid, w in doc[name].items()} == last
+
+
+def test_episode_file_in_the_old_encoding_gives_the_same_outputs(tmp_path, capsys, episode_file):
+    # the same episode in the json.dumps encoding deta wrote before orjson
+    episode = load_episode_file(episode_file)
+    old = tmp_path / "old.json"
+    old.write_bytes(stdlib_episode_bytes(episode))
+    assert old.read_bytes() != episode_file.read_bytes()
+    assert load_episode_file(old) == episode
+    capsys.readouterr()
+    outputs = []
+    for path in (episode_file, old):
+        run_outputs = []
+        for command in ("adapt", "weights"):
+            out = tmp_path / f"{command}.out"
+            argv = [command, "--episode", str(path), "--out", str(out), "--iterations", "3", "--seed", "11"]
+            assert run(argv) == 0
+            run_outputs.append((out.read_bytes(), capsys.readouterr().out))
+        outputs.append(run_outputs)
+    assert outputs[0] == outputs[1]
 
 
 class TestBench:

@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import os
@@ -30,10 +29,10 @@ from deta.episodes import (
 from deta.errors import DetaError, InvalidParameterError, ParseError, SchemaError
 from oracles import (
     episode_bytes,
-    episode_dict,
     episode_from_samples,
     per_sample_episode,
     per_sample_resample,
+    stdlib_episode_bytes,
     stdlib_load_episode_file,
 )
 
@@ -379,45 +378,78 @@ class TestWriter:
     QUERIES = [
         {"id": 40, "label": 0, "image_feature": [-0.0, 0.5]},
         {"id": 2, "label": 1, "image_feature": [1e16, -1e-16]},
+        {"id": 11, "label": 0, "image_feature": [1.5e-05, 9.999999999999998e-05]},
+        {"id": 12, "label": 1, "image_feature": [1e-07, -1e-05]},
     ]
+    # The compact JSON of SUPPORT and QUERIES, as literals: exponents carry no
+    # sign or padding, and the 1e-5 band is written positionally.
+    SUPPORT_BYTES = (
+        b'{"id":7,"label":1,"image_feature":[-0.0,5e-324],"regions":[[1.0,-0.0]]},'
+        b'{"id":-3,"label":0,"image_feature":[1e-310,-2.5],'
+        b'"regions":[[0.1,0.2],[2.2250738585072014e-308,-1e300],[3.0,4.0]]},'
+        b'{"id":1180591620717411303424,"label":1,"image_feature":[0.3,0.3333333333333333],'
+        b'"regions":[[-5e-324,7.0],[8.0,9.0]]}'
+    )
+    QUERY_BYTES = (
+        b'{"id":40,"label":0,"image_feature":[-0.0,0.5]},'
+        b'{"id":2,"label":1,"image_feature":[1e16,-1e-16]},'
+        b'{"id":11,"label":0,"image_feature":[0.000015,0.00009999999999999998]},'
+        b'{"id":12,"label":1,"image_feature":[1e-7,-0.00001]}'
+    )
 
-    def _reference_bytes(self, way, d, support, queries):
-        doc = {
-            "version": 1,
-            "feature_dim": d,
-            "way": way,
-            "support": [
-                {"id": s["id"], "label": s["label"],
-                 "image_feature": [float(x) for x in s["image_feature"]],
-                 "regions": [[float(x) for x in row] for row in s["regions"]]}
-                for s in support
-            ],
-            "queries": [
-                {"id": q["id"], "label": q["label"],
-                 "image_feature": [float(x) for x in q["image_feature"]]}
-                for q in queries
-            ],
-        }
-        buf = io.StringIO()
-        json.dump(doc, buf)
-        buf.write("\n")
-        return buf.getvalue().encode("utf-8")
+    @classmethod
+    def golden(cls, queries) -> bytes:
+        query_bytes = cls.QUERY_BYTES if queries else b""
+        return (b'{"version":1,"feature_dim":2,"way":2,"support":[' + cls.SUPPORT_BYTES
+                + b'],"queries":[' + query_bytes + b"]}\n")
 
     @pytest.mark.parametrize("queries", [QUERIES, []])
     def test_bytes_equal_json_dump_of_per_sample_dict(self, tmp_path, queries):
         ep = episode_from_samples(2, 2, self.SUPPORT, queries)
         path = tmp_path / "ep.json"
         save_episode_file(ep, path)
-        assert path.read_bytes() == self._reference_bytes(2, 2, self.SUPPORT, queries)
+        assert path.read_bytes() == self.golden(queries)
         assert load_episode_file(path) == ep
+
+    @pytest.mark.parametrize("load", [load_episode_file, stdlib_load_episode_file])
+    @pytest.mark.parametrize("old_format", [False, True])
+    def test_edge_values_reload_bit_for_bit(self, tmp_path, load, old_format):
+        ep = episode_from_samples(2, 2, self.SUPPORT, self.QUERIES)
+        path = tmp_path / "ep.json"
+        if old_format:
+            path.write_bytes(stdlib_episode_bytes(ep))
+        else:
+            save_episode_file(ep, path)
+        loaded = load(path)
+        for name in ("support_features", "regions", "query_features"):
+            got, want = getattr(loaded, name), getattr(ep, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        for name in ("sample_ids", "query_ids", "labels", "query_labels", "region_offsets"):
+            got, want = getattr(loaded, name).tolist(), getattr(ep, name).tolist()
+            assert [(type(x), x) for x in got] == [(type(x), x) for x in want], name
+        assert loaded == ep
 
     def test_generated_episode_bytes_equal_json_dump(self, tmp_path):
         ep = make_episode(seed=4, label_noise_ratio=0.3, image_noise_ratio=0.2)
         path = tmp_path / "ep.json"
         save_episode_file(ep, path)
-        doc = episode_dict(ep)
-        assert path.read_bytes() == self._reference_bytes(5, 16, doc["support"], doc["queries"])
         assert path.read_bytes() == episode_bytes(ep)
+        old = tmp_path / "old.json"
+        old.write_bytes(stdlib_episode_bytes(ep))
+        assert old.read_bytes() != path.read_bytes()
+        assert load_episode_file(old) == load_episode_file(path)
+
+    @pytest.mark.parametrize("name", ["support_features", "regions", "query_features"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_refused_before_the_file_opens(self, tmp_path, name, value):
+        ep = make_episode(seed=4)
+        getattr(ep, name)[-1, 1] = value
+        path = tmp_path / "ep.json"
+        path.write_bytes(b"old")
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite, got NaN or infinity"):
+            save_episode_file(ep, path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["ep.json"]
 
 
 def _differential_corpus() -> dict[str, bytes]:
@@ -499,8 +531,10 @@ def _differential_corpus() -> dict[str, bytes]:
     corpus["utf8-in-key"] = text.replace('"way"', '"wäy"').encode()
     for seed, noise in [(4, {}), (5, {"label_noise_ratio": 0.3, "image_noise_ratio": 0.2})]:
         corpus[f"generated-{seed}"] = episode_bytes(make_episode(seed=seed, **noise))
+        corpus[f"old-format-{seed}"] = stdlib_episode_bytes(make_episode(seed=seed, **noise))
+    corpus["generated-edge-floats"] = TestWriter.golden(TestWriter.QUERIES)
     written = episode_from_samples(2, 2, TestWriter.SUPPORT, TestWriter.QUERIES)
-    corpus["generated-edge-floats"] = episode_bytes(written)
+    corpus["old-format-edge-floats"] = stdlib_episode_bytes(written)
     return corpus
 
 
