@@ -248,6 +248,23 @@ class AdaptedState:
         with replacing_open(path) as fh:
             fh.write(orjson.dumps(self.to_dict()).decode() + "\n")
 
+    def save_weights_csv(self, path) -> None:
+        """Write the weight trace as CSV: rows by iteration, then sample id, then region slot."""
+        ids = self.sample_ids
+        k = len(self.trace[0].table.weights) // len(ids)
+        rows = [p * k + s for p in by_sample_id(ids, np.arange(len(ids))).values() for s in range(k)]
+        lines = ["iteration,sample_id,region_slot,phi,psi,lambda,omega\n"]
+        for t, record in enumerate(self.trace, start=1):
+            table = record.table
+            columns = (table.per_class_phi, table.per_class_psi, table.weights, record.image_weights)
+            phi, psi, lam, om = (c.tolist() for c in columns)
+            # Integers and float reprs never need CSV quoting, so these are csv.writer's bytes.
+            lines.extend(
+                f"{t},{ids[r // k]},{r % k},{phi[r]!r},{psi[r]!r},{lam[r]!r},{om[r // k]!r}\n" for r in rows
+            )
+        with replacing_open(path, newline="") as fh:
+            fh.write("".join(lines))
+
 
 def by_sample_id(sample_ids, values: np.ndarray) -> dict:
     """Support-order values keyed by str(sample id), in increasing id order."""

@@ -16,15 +16,6 @@ from .errors import DegenerateVectorError, DivergenceError, InvalidParameterErro
 from .numerics import segment_mean
 
 
-def build_classifier(features, class_of, omega, way: int) -> np.ndarray:
-    """Weighted class centroids, (way, d): sum of omega-scaled member rows over member count.
-
-    Row i of features is a support sample of class class_of[i] with image
-    weight omega[i]. Every class in [0, way) needs a member (EmptyClassError).
-    """
-    return segment_mean(features, class_of, way, weights=omega)[0]
-
-
 def classify(queries, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predict the class of every query row; returns (classes, scores).
 
@@ -79,7 +70,7 @@ def predict(episode: TaskEpisode, state: AdaptedState | None = None) -> np.ndarr
             raise InvalidParameterError("the state was adapted on other support sample ids")
         support, queries = adapted_features(state, support, queries)
         omega = state.final_image_weights
-    return classify(queries, build_classifier(support, episode.labels, omega, way=episode.way))[0]
+    return classify(queries, segment_mean(support, episode.labels, episode.way, weights=omega)[0])[0]
 
 
 def _accuracy(episode: TaskEpisode, predictions: np.ndarray) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from .episodes import (
     SyntheticNoiseConfig,
     generate_synthetic_episode,
     load_episode_file,
-    replacing_open,
     save_episode_file,
 )
 from .errors import DetaError, DivergenceError, InvalidParameterError
@@ -196,19 +196,7 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_weights(args) -> int:
     _, state = _load_and_adapt(args)
-    k, ids = args.k_regions, state.sample_ids
-    order = sorted(range(len(ids) * k), key=lambda row: ids[row // k])  # by sample id, then slot
-    lines = ["iteration,sample_id,region_slot,phi,psi,lambda,omega\n"]
-    for t, record in enumerate(state.trace, start=1):
-        table = record.table
-        columns = (table.per_class_phi, table.per_class_psi, table.weights, record.image_weights)
-        phi, psi, lam, om = (c.tolist() for c in columns)
-        # Integers and float reprs never need CSV quoting, so these are csv.writer's bytes.
-        lines.extend(
-            f"{t},{ids[r // k]},{r % k},{phi[r]!r},{psi[r]!r},{lam[r]!r},{om[r // k]!r}\n" for r in order
-        )
-    with replacing_open(args.out, newline="") as fh:
-        fh.write("".join(lines))
+    state.save_weights_csv(args.out)
     print(f"weight trace written to {args.out}")
     return EXIT_OK
 
@@ -231,11 +219,15 @@ def _cmd_gen(args) -> int:
 def _check_out(args) -> None:
     """Refuse an --out that cannot be written as a file or is the --episode input, before any work."""
     path, episode = args.out, getattr(args, "episode", None)
-    out = Path(path).absolute()
+    out = Path(path)
     if out.is_dir():
         raise InvalidParameterError(f"--out {path} is a directory")
-    if not out.parent.is_dir():
-        raise InvalidParameterError(f"--out {path}: {out.parent} is not an existing directory")
+    if out.is_file() or not out.exists():  # else a FIFO or a device, which is written in place
+        parent = Path(os.path.realpath(path)).parent  # where replacing_open makes its temporary file
+        try:
+            tempfile.TemporaryFile(dir=parent).close()
+        except OSError as exc:
+            raise InvalidParameterError(f"--out {path}: {parent} takes no new file: {exc.strerror}") from exc
     # Only existing files are compared: load_episode_file reports a missing --episode.
     if episode and out.exists() and os.path.exists(episode) and os.path.samefile(out, episode):
         raise InvalidParameterError(f"--out {path} is the --episode file {episode}")

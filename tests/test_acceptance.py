@@ -23,7 +23,7 @@ from deta.adaptation import (
     init_adapter,
     init_head,
 )
-from deta.classifier import build_classifier, classify
+from deta.classifier import classify
 from deta.cli import main as cli_main
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode
 from deta.harness import ABLATION_PRESETS, BenchmarkConfig, run_benchmark
@@ -34,6 +34,7 @@ from deta.losses import (
     global_dispersion_loss,
     local_compactness_loss,
 )
+from deta.numerics import segment_mean
 from deta.relevance import (
     RegionIndex,
     RegionWeightTable,
@@ -303,14 +304,14 @@ def test_criterion_4_reduction_to_baseline():
             raw = episode.support_features
             labels = episode.labels
             ones = np.ones(len(raw))
-            plain = build_classifier(raw, labels, ones, way=episode.way)
+            plain = segment_mean(raw, labels, episode.way, weights=ones)[0]
 
             adapted = forward_features(state.adapter, raw)
-            piped = build_classifier(adapted, labels, state.final_image_weights, way=episode.way)
+            piped = segment_mean(adapted, labels, episode.way, weights=state.final_image_weights)[0]
 
-            manual_state_protos = build_classifier(
-                forward_features(init_adapter(64), raw), labels, ones, way=episode.way
-            )
+            manual_state_protos = segment_mean(
+                forward_features(init_adapter(64), raw), labels, episode.way, weights=ones
+            )[0]
             queries = episode.query_features
             expected, _ = classify(queries, plain)
             assert np.array_equal(classify(forward_features(state.adapter, queries), piped)[0], expected)

@@ -20,9 +20,10 @@ from deta.adaptation import (
     param_layout,
     sgd_step,
 )
-from deta.classifier import build_classifier, classify, evaluate
+from deta.classifier import classify, evaluate
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode
 from deta.errors import DegenerateVectorError, DivergenceError, InvalidParameterError
+from deta.numerics import segment_mean
 from oracles import fd_matches
 
 
@@ -255,7 +256,7 @@ class TestAdaptTask:
         ep = small_episode(seed=7)
         state = adapt_task(ep, fast_cfg(learning_rate=0.0))
         omega = state.final_image_weights
-        protos = build_classifier(ep.support_features, ep.labels, omega, way=ep.way)
+        protos = segment_mean(ep.support_features, ep.labels, ep.way, weights=omega)[0]
         pred, _ = classify(ep.query_features, protos)
         hits = sum(int(p == label) for p, label in zip(pred, ep.query_labels))
         assert evaluate(ep, state) == hits / len(ep.query_labels)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from deta.adaptation import AblationFlags, AdaptationConfig, adapt_task
-from deta.classifier import build_classifier, classify, evaluate, plain_ncc_accuracy, predict
+from deta.classifier import classify, evaluate, plain_ncc_accuracy, predict
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode
 from deta.errors import DegenerateVectorError, EmptyClassError, InvalidParameterError
+from deta.numerics import segment_mean
 
 
 def toy_features():
@@ -17,16 +18,16 @@ def toy_features():
 class TestBuildClassifier:
     def test_uniform_weights_reduce_to_plain_means(self):
         features, labels = toy_features()
-        protos = build_classifier(features, labels, np.ones(4), way=2)
+        protos = segment_mean(features, labels, 2, weights=np.ones(4))[0]
         assert np.allclose(protos[0], [2.0, 0.0, 0.0], atol=0)
         assert np.allclose(protos[1], [0.0, 3.0, 0.0], atol=0)
 
     def test_zero_weight_sample_has_no_influence(self):
         features, labels = toy_features()
         omega = np.array([1.0, 0.0, 1.0, 1.0])
-        protos_a = build_classifier(features, labels, omega, way=2)
+        protos_a = segment_mean(features, labels, 2, weights=omega)[0]
         features[1] = [99.0, -99.0, 7.0]
-        protos_b = build_classifier(features, labels, omega, way=2)
+        protos_b = segment_mean(features, labels, 2, weights=omega)[0]
         assert np.array_equal(protos_a[0], protos_b[0])
 
     def test_matches_literal_weighted_mean(self):
@@ -34,7 +35,7 @@ class TestBuildClassifier:
         features = rng.standard_normal((6, 4))
         labels = np.arange(6) % 2
         omega = rng.uniform(0.1, 2.0, size=6)
-        protos = build_classifier(features, labels, omega, way=2)
+        protos = segment_mean(features, labels, 2, weights=omega)[0]
         for c in (0, 1):
             members = [sid for sid in range(6) if labels[sid] == c]
             expected = sum(omega[i] * features[i] for i in members) / len(members)
@@ -43,13 +44,13 @@ class TestBuildClassifier:
     def test_empty_class_detected(self):
         features, labels = toy_features()
         with pytest.raises(EmptyClassError):
-            build_classifier(features, labels, np.ones(4), way=3)
+            segment_mean(features, labels, 3, weights=np.ones(4))[0]
 
 
 class TestClassify:
     def _protos(self):
         features, labels = toy_features()
-        return build_classifier(features, labels, np.ones(4), way=2)
+        return segment_mean(features, labels, 2, weights=np.ones(4))[0]
 
     def test_query_on_centroid_wins(self):
         pred, scores = classify(np.array([[0.0, 1.0, 0.0]]), self._protos())
@@ -69,7 +70,7 @@ class TestClassify:
     def test_matches_exhaustive_argmax(self):
         rng = np.random.default_rng(1)
         centroids = rng.standard_normal((5, 6))
-        protos = build_classifier(centroids, np.arange(5), np.ones(5), way=5)
+        protos = segment_mean(centroids, np.arange(5), 5, weights=np.ones(5))[0]
         queries = rng.standard_normal((50, 6))
         pred, _ = classify(queries, protos)
         for q, p in zip(queries, pred):
@@ -95,8 +96,8 @@ class TestClassify:
         features = rng.standard_normal((9, 5))
         labels = np.arange(9) % 3
         perm = np.array([2, 0, 1])
-        protos = build_classifier(features, labels, np.ones(9), way=3)
-        protos_perm = build_classifier(features, perm[labels], np.ones(9), way=3)
+        protos = segment_mean(features, labels, 3, weights=np.ones(9))[0]
+        protos_perm = segment_mean(features, perm[labels], 3, weights=np.ones(9))[0]
         queries = rng.standard_normal((25, 5))
         assert np.array_equal(perm[classify(queries, protos)[0]], classify(queries, protos_perm)[0])
 
@@ -149,7 +150,7 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         hits, total = 0, 0
         for _ in range(200):
-            protos = build_classifier(rng.standard_normal((5, 16)), np.arange(5), np.ones(5), way=5)
+            protos = segment_mean(rng.standard_normal((5, 16)), np.arange(5), 5, weights=np.ones(5))[0]
             truth = np.repeat(np.arange(5), 10)
             hits += int(np.sum(classify(rng.standard_normal((50, 16)), protos)[0] == truth))
             total += truth.size

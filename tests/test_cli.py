@@ -60,6 +60,15 @@ def shuffled_file(tmp_path, episode_file):
     return path
 
 
+@pytest.fixture()
+def five_region_file(tmp_path):
+    """An episode storing 5 regions per sample, more than the default k."""
+    path = tmp_path / "five.json"
+    argv = ["--way", "3", "--shot", "3", "--k-regions", "5", "--dim", "8", "--seed", "5"]
+    assert run(["gen", *argv, "--out", str(path)]) == 0
+    return path
+
+
 class TestGen:
     def test_generates_loadable_episode(self, episode_file):
         ep = load_episode_file(episode_file)
@@ -228,9 +237,15 @@ class TestWeights:
         assert len(rows) == 1 + 4 * 12 * 2
         assert {r[0] for r in rows[1:]} == {"1", "2", "3", "4"}
 
-    def test_trace_csv_bytes_equal_csv_writer(self, tmp_path, episode_file):
+    @pytest.mark.parametrize(
+        "source, k_flags",
+        [("episode_file", []), ("five_region_file", ["--k-regions", "3"]), ("shuffled_file", [])],
+        ids=["fixture", "5-stored-read-at-3", "shuffled"],
+    )
+    def test_trace_csv_bytes_equal_csv_writer(self, tmp_path, request, source, k_flags):
+        episode_file = request.getfixturevalue(source)
         out = tmp_path / "weights.csv"
-        argv = ["--iterations", "3", "--embed-dim", "16", "--seed", "4"]
+        argv = ["--iterations", "3", "--embed-dim", "16", "--seed", "4", *k_flags]
         assert run(["weights", "--episode", str(episode_file), "--out", str(out)] + argv) == 0
         args = build_parser().parse_args(["weights", "--episode", "-", "--out", "-"] + argv)
         state = adapt_task(load_episode_file(episode_file), _adaptation_config(args))
@@ -444,8 +459,13 @@ class TestBench:
             assert run(args) == 0
 
 
+_NO_PROCFS = pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="/proc is not procfs, so a file might be created there"
+)
+
+
 @pytest.mark.parametrize("command", ["bench", "adapt", "weights", "gen"])
-@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("kind", ["missing-directory", "directory", pytest.param("proc", marks=_NO_PROCFS)])
 def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, episode_file, command, kind):
     import deta.cli as cli_module
     import deta.harness as harness_module
@@ -459,7 +479,8 @@ def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, epi
     counted(harness_module, "run_episode")
     counted(cli_module, "load_episode_file")
     counted(cli_module, "generate_synthetic_episode")
-    out = tmp_path / "missing" / "r.csv" if kind == "missing-directory" else tmp_path
+    # procfs takes no new file, even from root
+    out = {"missing-directory": tmp_path / "missing" / "r.csv", "directory": tmp_path, "proc": "/proc/r.csv"}[kind]
     source = {"bench": ["--episodes", "1", "--iterations", "1"], "gen": []}.get(
         command, ["--episode", str(episode_file)]
     )
