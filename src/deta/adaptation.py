@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .episodes import TaskEpisode, replacing_open, resample_regions
+from .episodes import TaskEpisode, resample_regions, write_output
 from .errors import DegenerateVectorError, DivergenceError, InvalidParameterError
 from .losses import EmbeddingBatch, LossHyperparams, LossValue, combined_loss
 from .numerics import check_finite
@@ -212,10 +212,10 @@ class AdaptedState:
     """Everything the inference stage needs after adaptation finished.
 
     omega (the momentum-smoothed image weights) and final_image_weights (the
-    image weights the last iteration's losses used, which predict uses) are
-    (n,) arrays in support order; sample_ids names their entries. trace holds
-    one IterationRecord per iteration: 8 * (3r + n) bytes of arrays for r
-    region rows, and about 11.3 KB in all at 10-way 10-shot k=4 and 3.6 KB at
+    last trace record's image_weights, which predict uses) are (n,) arrays in
+    support order; sample_ids names their entries. trace holds one
+    IterationRecord per iteration: 8 * (3r + n) bytes of arrays for r region
+    rows, and about 11.3 KB in all at 10-way 10-shot k=4 and 3.6 KB at
     5-way 10-shot k=2, as tracemalloc measures it. It grows with
     cfg.iterations; run_episode drops each state once scored.
     """
@@ -225,7 +225,10 @@ class AdaptedState:
     omega: np.ndarray
     sample_ids: tuple[int, ...]
     trace: list[IterationRecord]
-    final_image_weights: np.ndarray
+
+    @property
+    def final_image_weights(self) -> np.ndarray:
+        return self.trace[-1].image_weights
 
     def to_dict(self) -> dict:
         return {
@@ -245,8 +248,7 @@ class AdaptedState:
         params = {f"{g}.{k}": v for g in ("adapter", "head") for k, v in vars(getattr(self, g)).items()}
         check_finite(**params, omega=self.omega, final_image_weights=self.final_image_weights,
                      loss_trace=[(r.l_local, r.l_global, r.combined) for r in self.trace])
-        with replacing_open(path) as fh:
-            fh.write(orjson.dumps(self.to_dict()).decode() + "\n")
+        write_output(path, orjson.dumps(self.to_dict()) + b"\n")
 
     def save_weights_csv(self, path) -> None:
         """Write the weight trace as CSV: rows by iteration, then sample id, then region slot."""
@@ -262,8 +264,7 @@ class AdaptedState:
             lines.extend(
                 f"{t},{ids[r // k]},{r % k},{phi[r]!r},{psi[r]!r},{lam[r]!r},{om[r // k]!r}\n" for r in rows
             )
-        with replacing_open(path, newline="") as fh:
-            fh.write("".join(lines))
+        write_output(path, "".join(lines).encode())
 
 
 def by_sample_id(sample_ids, values: np.ndarray) -> dict:
@@ -356,5 +357,4 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
         omega=omega,
         sample_ids=sample_ids,
         trace=trace,
-        final_image_weights=omega_used,
     )

@@ -12,7 +12,6 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 from .adaptation import AdaptationConfig, adapt_task
 from .classifier import adapted_features, evaluate, plain_ncc_accuracy
@@ -20,6 +19,7 @@ from .episodes import (
     SyntheticNoiseConfig,
     generate_synthetic_episode,
     load_episode_file,
+    output_target,
     save_episode_file,
 )
 from .errors import DetaError, DivergenceError, InvalidParameterError
@@ -217,19 +217,25 @@ def _cmd_gen(args) -> int:
 
 
 def _check_out(args) -> None:
-    """Refuse an --out that cannot be written as a file or is the --episode input, before any work."""
+    """Refuse, before any work, an --out that cannot be written, is stdout's file or is the --episode."""
     path, episode = args.out, getattr(args, "episode", None)
-    out = Path(path)
-    if out.is_dir():
+    if os.path.isdir(path):
         raise InvalidParameterError(f"--out {path} is a directory")
-    if out.is_file() or not out.exists():  # else a FIFO or a device, which is written in place
-        parent = Path(os.path.realpath(path)).parent  # where replacing_open makes its temporary file
+    target = output_target(path)  # None for a FIFO or a device, which is written in place
+    if target is not None:
+        parent = target.parent  # where write_output makes its temporary file
         try:
             tempfile.TemporaryFile(dir=parent).close()
         except OSError as exc:
             raise InvalidParameterError(f"--out {path}: {parent} takes no new file: {exc.strerror}") from exc
+        try:  # no such file yet, or stdout has no descriptor (a StringIO): not stdout's file
+            is_stdout = os.path.samestat(os.stat(target), os.fstat(sys.stdout.fileno()))
+        except (OSError, ValueError):
+            is_stdout = False
+        if is_stdout:  # replacing it would lose what the command prints
+            raise InvalidParameterError(f"--out {path} is the file stdout is redirected to")
     # Only existing files are compared: load_episode_file reports a missing --episode.
-    if episode and out.exists() and os.path.exists(episode) and os.path.samefile(out, episode):
+    if episode and os.path.exists(path) and os.path.exists(episode) and os.path.samefile(path, episode):
         raise InvalidParameterError(f"--out {path} is the --episode file {episode}")
 
 

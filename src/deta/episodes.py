@@ -17,7 +17,6 @@ import math
 import os
 import secrets
 import stat
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -541,39 +540,43 @@ def save_episode_file(episode: TaskEpisode, path) -> None:
         f'{{"id":{qid},"label":{label},"image_feature":{dumps(queries[i])}}}'
         for i, (qid, label) in enumerate(zip(episode.query_ids.tolist(), episode.query_labels.tolist()))
     )
-    with replacing_open(path) as fh:
-        fh.write(
-            f'{{"version":{EPISODE_FORMAT_VERSION},"feature_dim":{episode.feature_dim},'
-            f'"way":{episode.way},"support":[{support}],"queries":[{query_entries}]}}\n'
-        )
+    write_output(path, (
+        f'{{"version":{EPISODE_FORMAT_VERSION},"feature_dim":{episode.feature_dim},'
+        f'"way":{episode.way},"support":[{support}],"queries":[{query_entries}]}}\n'
+    ).encode())
 
 
-@contextmanager
-def replacing_open(path, newline=None):
-    """Open a sibling temporary file for UTF-8 text; on success it replaces path.
+def output_target(path) -> Path | None:
+    """The file write_output replaces for path, links resolved, or None where it writes in place.
+
+    It writes in place to a path that exists but is not a regular file (a
+    FIFO, /dev/null, a terminal): replacing it would put a file there instead.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except (FileNotFoundError, NotADirectoryError):
+        pass
+    return Path(os.path.realpath(path))
+
+
+def write_output(path, data: bytes) -> None:
+    """Write data in place or to a sibling temporary file that then replaces output_target(path).
 
     A write that raises leaves the old file, or none, and no temporary file;
     the temporary is not fsynced, so a crash or power loss may still leave a
-    short file. The file is made by open, so its mode bits follow the umask.
-    A symbolic link is followed, as open would: the file it names is replaced.
-    A path that exists but is not a regular file (a FIFO, /dev/null, a
-    terminal) is opened and written in place, since replacing it would put a
-    regular file where the device or pipe was.
+    short file. Mode bits follow the umask; a link keeps naming the written file.
     """
-    try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if not regular:
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
+    target = output_target(path)
+    if target is None:
+        with open(path, "wb") as fh:
+            fh.write(data)
         return
-    target = Path(os.path.realpath(path))
     tmp = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    fh = open(tmp, "xb")
     try:
         with fh:
-            yield fh
+            fh.write(data)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)

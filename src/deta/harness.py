@@ -10,7 +10,6 @@ episode set identical across ablation variants.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -23,7 +22,7 @@ from .episodes import (
     NOISE_CLEAN,
     SyntheticNoiseConfig,
     generate_synthetic_episode,
-    replacing_open,
+    write_output,
 )
 from .errors import DivergenceError, InvalidParameterError
 
@@ -242,16 +241,14 @@ def run_benchmark(cfg: BenchmarkConfig) -> AggregateReport:
 def emit_report(report: AggregateReport, fmt: str, path) -> None:
     """Write the aggregate as CSV (one row per cell, the CellAggregate fields) or JSON (full detail).
 
-    csv.writer writes None as an empty field and a float as its repr.
+    The CSV writes None as an empty field and a float as its repr. Its ints,
+    floats and identifiers never need quoting, so these are csv.writer's bytes.
     """
     if fmt == "csv":
-        with replacing_open(path, newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(f.name for f in fields(CellAggregate))
-            writer.writerows(astuple(cell) for cell in report.cells)
+        rows = [[f.name for f in fields(CellAggregate)], *map(astuple, report.cells)]
+        text = "".join(",".join("" if v is None else str(v) for v in row) + "\n" for row in rows)
     elif fmt == "json":
-        with replacing_open(path) as fh:
-            json.dump(asdict(report), fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(asdict(report), indent=2) + "\n"
     else:
         raise InvalidParameterError(f"unknown report format {fmt!r}")
+    write_output(path, text.encode())

@@ -465,7 +465,9 @@ _NO_PROCFS = pytest.mark.skipif(
 
 
 @pytest.mark.parametrize("command", ["bench", "adapt", "weights", "gen"])
-@pytest.mark.parametrize("kind", ["missing-directory", "directory", pytest.param("proc", marks=_NO_PROCFS)])
+@pytest.mark.parametrize(
+    "kind", ["missing-directory", "directory", "dangling-link", pytest.param("proc", marks=_NO_PROCFS)]
+)
 def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, episode_file, command, kind):
     import deta.cli as cli_module
     import deta.harness as harness_module
@@ -480,7 +482,10 @@ def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, epi
     counted(cli_module, "load_episode_file")
     counted(cli_module, "generate_synthetic_episode")
     # procfs takes no new file, even from root
-    out = {"missing-directory": tmp_path / "missing" / "r.csv", "directory": tmp_path, "proc": "/proc/r.csv"}[kind]
+    out = {"directory": tmp_path, "proc": "/proc/r.csv"}.get(kind, tmp_path / "missing" / "r.csv")
+    if kind == "dangling-link":  # the check and the writer both follow it into the missing directory
+        out, target = tmp_path / "link.csv", out
+        out.symlink_to(target)
     source = {"bench": ["--episodes", "1", "--iterations", "1"], "gen": []}.get(
         command, ["--episode", str(episode_file)]
     )
@@ -575,19 +580,45 @@ def test_out_naming_a_fifo_writes_through_it(tmp_path, capsys, episode_file, com
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([episode_file.name, "out.fifo", "regular"])
 
 
+def _run_cli(argv, **kwargs):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "deta.cli", *argv], env=env, timeout=120, **kwargs)
+
+
+_BENCH_ONE = ["bench", "--episodes", "1", "--iterations", "1", "--noise-ratios", "0.3", "--out"]
+
+
+@pytest.mark.parametrize("out", ["/dev/stdout", "same-file"])
+def test_out_naming_the_file_stdout_is_redirected_to_exits_before_any_work(tmp_path, out):
+    # Replacing that file would drop the summary line the command prints after the report.
+    stdout = tmp_path / "o.txt"
+    argv = _BENCH_ONE + [str(stdout) if out == "same-file" else out]
+    with open(stdout, "wb") as fh:
+        done = _run_cli(argv, stdout=fh, stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr.decode().startswith("error: --out")
+    assert stdout.read_bytes() == b""
+    assert os.listdir(tmp_path) == ["o.txt"]
+
+
+@pytest.mark.parametrize("stdout", [subprocess.PIPE, subprocess.DEVNULL])
+def test_out_naming_stdout_on_a_pipe_or_dev_null_writes_in_place(stdout):
+    out = "/dev/null" if stdout == subprocess.DEVNULL else "/dev/stdout"
+    done = _run_cli(_BENCH_ONE + [out], stdout=stdout, stderr=subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    if stdout == subprocess.PIPE:
+        assert done.stdout.startswith(b"cell_id,noise_type,")
+        assert done.stdout.endswith(b"(1 ok, 0 failed)\n")
+
+
 def test_nesting_past_the_stack_is_refused_in_a_subprocess(tmp_path):
     # orjson overflows the C stack on nesting like this, which kills the
     # process by SIGSEGV; the loader must leave such text to Python's json.
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 200_000 + "]" * 200_000)
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "deta.cli", "adapt", "--episode", str(bad), "--out", str(tmp_path / "s.json")],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    argv = ["adapt", "--episode", str(bad), "--out", str(tmp_path / "s.json")]
+    done = _run_cli(argv, capture_output=True, text=True)
     assert done.returncode == 2, (done.returncode, done.stderr[-2000:])
     assert done.stderr.startswith(f"error: {bad}: maximum recursion depth exceeded")
     assert not (tmp_path / "s.json").exists()

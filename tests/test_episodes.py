@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import deta.episodes as episodes_module
 from deta.episodes import (
     NOISE_CLEAN,
     NOISE_IMAGE,
@@ -22,9 +23,10 @@ from deta.episodes import (
     episode_from_dict,
     generate_synthetic_episode,
     load_episode_file,
-    replacing_open,
+    output_target,
     resample_regions,
     save_episode_file,
+    write_output,
 )
 from deta.errors import DetaError, InvalidParameterError, ParseError, SchemaError
 from oracles import (
@@ -600,26 +602,31 @@ class TestLoaderMatchesStdlib:
             _outcome(load_episode_file, path), _outcome(stdlib_load_episode_file, path)
         )
 
-class TestReplacingOpen:
+class TestWriteOutput:
     def test_success_replaces_the_file(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("old\n")
-        with replacing_open(path, newline="") as fh:
-            fh.write("a\r\nb\n")
+        write_output(path, b"a\r\nb\n")
         assert path.read_bytes() == b"a\r\nb\n"
         assert os.listdir(tmp_path) == ["out.csv"]
 
     @pytest.mark.parametrize("old", [None, "old\n"])
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
-    def test_failure_keeps_the_old_file_and_no_temporary(self, tmp_path, old, error):
+    def test_failure_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch, old, error):
         path = tmp_path / "out.json"
         if old is not None:
             path.write_text(old)
+        written = []
+
+        def failing_replace(src, dst):
+            with open(src, "rb") as fh:
+                written.append(fh.read())
+            raise error()
+
+        monkeypatch.setattr(episodes_module.os, "replace", failing_replace)
         with pytest.raises(error):
-            with replacing_open(path) as fh:
-                fh.write("partial")
-                fh.flush()
-                raise error()
+            write_output(path, b"partial")
+        assert written == [b"partial"]
         assert (path.read_text() if path.exists() else None) == old
         assert os.listdir(tmp_path) == ([] if old is None else ["out.json"])
 
@@ -627,8 +634,7 @@ class TestReplacingOpen:
         real, link = tmp_path / "real.json", tmp_path / "link.json"
         real.write_text("old\n")
         link.symlink_to(real)
-        with replacing_open(link) as fh:
-            fh.write("new\n")
+        write_output(link, b"new\n")
         assert link.is_symlink() and real.read_text() == "new\n"
         assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
 
@@ -638,8 +644,7 @@ class TestReplacingOpen:
         received = []
         reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        with replacing_open(fifo, newline="") as fh:
-            fh.write("a\r\nb\n")
+        write_output(fifo, b"a\r\nb\n")
         reader.join(timeout=30)
         assert received == [b"a\r\nb\n"]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
@@ -649,9 +654,21 @@ class TestReplacingOpen:
         umask = os.umask(0o022)
         os.umask(umask)
         path = tmp_path / "out.json"
-        with replacing_open(path) as fh:
-            fh.write("{}")
+        write_output(path, b"{}")
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("kind", ["regular", "missing", "link", "dangling-link", "fifo", "null"])
+    def test_output_target_names_the_file_replaced(self, tmp_path, kind):
+        real = tmp_path / "real"
+        path = {"regular": real, "null": os.devnull}.get(kind, tmp_path / "out")
+        if kind in ("regular", "link"):
+            real.write_bytes(b"old")
+        if kind in ("link", "dangling-link"):
+            path.symlink_to(real)
+        if kind == "fifo":
+            os.mkfifo(path)
+        expected = {"missing": path, "fifo": None, "null": None}.get(kind, real)
+        assert output_target(path) == (expected and expected.resolve())
 
 
 class TestResampleRegions:

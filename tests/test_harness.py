@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -182,6 +183,21 @@ class TestEmitReport:
             b"label-0.3-1111,label,0.3,1111,3,0,0.5,0.1,0.6666666666666666,0.05,0.16666666666666663,0.25,1.0\n"
             b"label-0.5-1111,label,0.5,1111,0,3,,,,,,,\n"
         )
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        report = run_benchmark(tiny_config(noise_ratios=(0.1, 0.3)))
+        diverged = CellAggregate(
+            "label-0.5-1111", "label", 0.5, "1111", 0, 3, None, None, None, None, None, None, None,
+        )
+        report.cells.append(diverged)
+        path = tmp_path / "report.csv"
+        emit_report(report, "csv", path)
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(f.name for f in dataclasses.fields(CellAggregate))
+        writer.writerows(dataclasses.astuple(cell) for cell in report.cells)
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+        assert path.read_bytes().endswith(b",0,3,,,,,,,\n")
 
     def test_json_bytes_are_the_indented_dataclass(self, tmp_path):
         report = run_benchmark(tiny_config(episodes_per_cell=2))

@@ -1,9 +1,12 @@
 """Each module of the package imports on its own in a fresh interpreter.
 
 The package re-exports nothing, so no import order is fixed for callers:
-a module that works only after another has been imported fails here.
+a module that works only after another has been imported fails here. The
+source is also read as a whole: only episodes.write_output opens files for
+writing, so every output keeps its replace-on-success rule.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +33,39 @@ def test_cli_runs_as_a_module():
     done = run_python("-m", "deta.cli", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: deta")
+
+
+def _write_calls(tree):
+    """Calls that open a file for writing.
+
+    That is open with a mode holding w, x, a or + (or one that is not a
+    literal; for a method's open the first argument is taken as its mode),
+    and write_text or write_bytes.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in ("write_text", "write_bytes"):
+            yield node
+        elif name == "open":
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wxa+")
+                   for m in modes):
+                yield node
+
+
+def test_only_write_output_opens_files_for_writing():
+    writers, elsewhere = [], []
+    for path in sorted((SRC / "deta").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = set()
+        if path.name == "episodes.py":
+            (write_output,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "write_output"]
+            inside = {id(n) for n in ast.walk(write_output)}
+        for call in _write_calls(tree):
+            (writers if id(call) in inside else elsewhere).append(f"{path.name}:{call.lineno}")
+    assert len(writers) == 2, writers  # the temporary file and the in-place write
+    assert elsewhere == [], f"files opened for writing outside episodes.write_output: {elsewhere}"
