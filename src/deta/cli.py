@@ -217,10 +217,13 @@ def _cmd_gen(args) -> int:
 
 
 def _check_out(args) -> None:
-    """Refuse, before any work, an --out that cannot be written, is stdout's file or is the --episode."""
+    """Refuse, before any work, an --out that names no file or cannot be written, or that is
+    the file stdout or stderr goes to, or the --episode."""
     path, episode = args.out, getattr(args, "episode", None)
     if os.path.isdir(path):
         raise InvalidParameterError(f"--out {path} is a directory")
+    if os.path.basename(path) == "":  # "" or "x/", which realpath turns into the working directory or "x"
+        raise InvalidParameterError(f"--out {path!r} names no file")
     target = output_target(path)  # None for a FIFO or a device, which is written in place
     if target is not None:
         parent = target.parent  # where write_output makes its temporary file
@@ -228,12 +231,13 @@ def _check_out(args) -> None:
             tempfile.TemporaryFile(dir=parent).close()
         except OSError as exc:
             raise InvalidParameterError(f"--out {path}: {parent} takes no new file: {exc.strerror}") from exc
-        try:  # no such file yet, or stdout has no descriptor (a StringIO): not stdout's file
-            is_stdout = os.path.samestat(os.stat(target), os.fstat(sys.stdout.fileno()))
-        except (OSError, ValueError):
-            is_stdout = False
-        if is_stdout:  # replacing it would lose what the command prints
-            raise InvalidParameterError(f"--out {path} is the file stdout is redirected to")
+        for name, stream in (("stdout", sys.stdout), ("stderr", sys.stderr)):
+            try:  # no such file yet, or the stream has no descriptor (a StringIO): not its file
+                is_stream = os.path.samestat(os.stat(target), os.fstat(stream.fileno()))
+            except (OSError, ValueError):
+                is_stream = False
+            if is_stream:  # replacing it would lose what the command prints
+                raise InvalidParameterError(f"--out {path} is the file {name} is redirected to")
     # Only existing files are compared: load_episode_file reports a missing --episode.
     if episode and os.path.exists(path) and os.path.exists(episode) and os.path.samefile(path, episode):
         raise InvalidParameterError(f"--out {path} is the --episode file {episode}")

@@ -69,12 +69,6 @@ class SyntheticNoiseConfig:
             raise InvalidParameterError("class_separation must be positive")
 
 
-_ARRAY_FIELDS = (
-    "sample_ids", "labels", "true_labels", "noise", "support_features", "regions",
-    "region_offsets", "query_ids", "query_labels", "query_features",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class TaskEpisode:
     """One few-shot task as arrays in support order and query order.
@@ -83,9 +77,7 @@ class TaskEpisode:
     corrupted), true label true_labels[i], noise tag noise[i], image feature
     support_features[i] and stored regions
     regions[region_offsets[i]:region_offsets[i + 1]]; the count may differ per
-    sample. Treated as immutable after construction. Equality compares
-    content (shape, features, ids, labels, evaluation tags) and ignores
-    provenance (seed, redraw scale).
+    sample. Treated as immutable after construction.
 
     redraw_scale is set on synthetic episodes only: each redraw jitters every
     stored region at that scale, so iterations see perturbed views of the
@@ -150,15 +142,6 @@ class TaskEpisode:
 
     def noise_tags(self) -> dict[int, str]:
         return dict(zip(self.sample_ids.tolist(), self.noise.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, TaskEpisode):
-            return NotImplemented
-        return (
-            self.way == other.way
-            and self.feature_dim == other.feature_dim
-            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS)
-        )
 
 
 def _unit_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -341,10 +324,7 @@ _LISTED_CLASSES = 10  # empty classes named in an error message; the rest are co
 def _as_block(lists: list, d: int, where) -> np.ndarray:
     """Feature lists as one (len(lists), d) float array; where(i) names list i in errors."""
     for i, values in enumerate(lists):
-        if not isinstance(values, list) or not (
-            set(map(type, values)) <= _NUMBER_TYPES
-            or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
-        ):
+        if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER_TYPES:
             raise SchemaError(f"{where(i)}: feature must be a list of numbers")
         if len(values) != d:
             raise SchemaError(f"{where(i)}: expected dimension {d}, got {len(values)}")
@@ -386,9 +366,9 @@ def _check_entry(entry, keys: set[str], kind: str, way: int, seen: set[int]) -> 
 def episode_from_dict(doc: dict) -> TaskEpisode:
     """Validate a wire-format dict and build the episode.
 
-    Feature values must be ints or floats that are finite as doubles.
-    Subclasses such as numpy.float64 pass; bools do not, neither as feature
-    values nor as the integers version, way, feature_dim, ids and labels.
+    Feature values must be ints or floats that are finite as doubles. Bools
+    do not pass, neither as feature values nor as the integers version, way,
+    feature_dim, ids and labels.
     """
     if not isinstance(doc, dict):
         raise SchemaError("episode document must be a JSON object")

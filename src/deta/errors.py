@@ -21,14 +21,6 @@ class SchemaError(DetaError, ValueError):
     """An episode file is valid JSON but violates the episode schema."""
 
 
-class MissingWeightError(DetaError, LookupError):
-    """A weight table does not cover a sample or region it must cover."""
-
-
-class EmptyClassError(DetaError, ValueError):
-    """A class has no members where at least one is required."""
-
-
 class DivergenceError(DetaError, ArithmeticError):
     """Adaptation produced a non-finite loss or gradient.
 

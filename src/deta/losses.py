@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, InvalidParameterError, MissingWeightError
+from .errors import DegenerateVectorError, InvalidParameterError
 from .numerics import check_finite, segment_mean, segment_sum
 
 
@@ -44,7 +44,9 @@ class EmbeddingBatch:
     """Unit image and region embeddings of one episode's support set.
 
     Image row i is the support sample at position i; region row r belongs to
-    the sample at position sample_of[r], whose class is class_of[i].
+    the sample at position sample_of[r], whose class is class_of[i]. Class
+    ids are 0..C-1 with every class present, as episode labels are; the
+    global loss indexes its prototypes by them.
     """
 
     image_embeddings: np.ndarray  # (n, e)
@@ -71,7 +73,7 @@ class LossValue:
 def _per_row(values, n: int, what: str) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.shape != (n,):
-        raise MissingWeightError(f"{what} has shape {v.shape}, expected ({n},)")
+        raise InvalidParameterError(f"{what} has shape {v.shape}, expected ({n},)")
     return v
 
 
@@ -145,13 +147,12 @@ def global_dispersion_loss(
     if len(batch.class_of) != len(e) or np.any((batch.sample_of < 0) | (batch.sample_of >= len(e))):
         raise InvalidParameterError("region rows or classes do not match the image rows")
 
-    classes, img_col = np.unique(batch.class_of, return_inverse=True)
-    protos, counts = segment_mean(e, img_col, len(classes), weights=w_img)  # (C, dim)
+    class_of = batch.class_of
+    protos, counts = segment_mean(e, class_of, int(class_of.max()) + 1, weights=w_img)  # (C, dim)
 
     p_norm = np.linalg.norm(protos, axis=1)
     if np.any(p_norm == 0.0):
-        dead = classes[int(np.argmin(p_norm))]
-        raise DegenerateVectorError(f"class {dead} prototype has zero norm")
+        raise DegenerateVectorError(f"class {int(np.argmin(p_norm))} prototype has zero norm")
     r_norm = np.linalg.norm(r, axis=1)
     if np.any(r_norm == 0.0):
         raise DegenerateVectorError("zero-norm region embedding")
@@ -162,7 +163,7 @@ def global_dispersion_loss(
     lse = row_max + np.log(np.exp(logits - row_max[:, None]).sum(axis=1))
     q = np.exp(logits - lse[:, None])
 
-    ycol = img_col[batch.sample_of]
+    ycol = class_of[batch.sample_of]
     picked = logits[np.arange(n_regions), ycol]
     value = float(np.sum(lam * (lse - picked)) / n_regions)
 
@@ -179,8 +180,8 @@ def global_dispersion_loss(
     tcol = (d * cosines).sum(axis=0)
     grad_p = (d.T @ r_unit) / p_norm[:, None] - (tcol / p_norm**2)[:, None] * protos
 
-    scale = w_img / counts[img_col]
-    return value, grad_r, scale[:, None] * grad_p[img_col]
+    scale = w_img / counts[class_of]
+    return value, grad_r, scale[:, None] * grad_p[class_of]
 
 
 def combined_loss(

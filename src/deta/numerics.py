@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyClassError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 def check_finite(**values) -> None:
@@ -70,6 +70,6 @@ def segment_mean(rows, segment_of, n_segments: int, weights) -> tuple[np.ndarray
     """
     counts = np.bincount(segment_of, minlength=n_segments)
     if np.any(counts == 0):
-        raise EmptyClassError(f"segments without members: {np.flatnonzero(counts == 0).tolist()}")
+        raise InvalidParameterError(f"segments without members: {np.flatnonzero(counts == 0).tolist()}")
     mat = np.asarray(weights, dtype=np.float64)[:, None] * np.asarray(rows, dtype=np.float64)
     return segment_sum(mat, segment_of, n_segments) / counts[:, None], counts

@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVectorError,
-    InvalidParameterError,
-    MissingWeightError,
-)
+from .errors import DegenerateVectorError, InvalidParameterError
 from .numerics import segment_sum, softmax
 
 
@@ -126,7 +122,7 @@ def accumulate_image_weights(
     if omega is None:
         return means
     if means.shape != omega.shape:
-        raise MissingWeightError(
+        raise InvalidParameterError(
             f"region weights cover {means.size} samples, accumulator holds {omega.size}"
         )
     return momentum * omega + (1.0 - momentum) * means

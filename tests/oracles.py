@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import orjson
@@ -193,6 +193,15 @@ def episode_samples(episode):
         }
         for i in range(episode.n_support)
     ]
+
+
+def same_episode(a: TaskEpisode, b: TaskEpisode) -> bool:
+    """Equal content: way, feature_dim and every array; seed and redraw_scale are provenance."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in fields(TaskEpisode)
+        if f.name not in ("seed", "redraw_scale")
+    )
 
 
 def episode_dict(episode) -> dict:

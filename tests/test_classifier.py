@@ -6,7 +6,7 @@ import pytest
 from deta.adaptation import AblationFlags, AdaptationConfig, adapt_task
 from deta.classifier import classify, evaluate, plain_ncc_accuracy, predict
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode
-from deta.errors import DegenerateVectorError, EmptyClassError, InvalidParameterError
+from deta.errors import DegenerateVectorError, InvalidParameterError
 from deta.numerics import segment_mean
 
 
@@ -43,7 +43,7 @@ class TestBuildClassifier:
 
     def test_empty_class_detected(self):
         features, labels = toy_features()
-        with pytest.raises(EmptyClassError):
+        with pytest.raises(InvalidParameterError, match=r"segments without members: \[2\]"):
             segment_mean(features, labels, 3, weights=np.ones(4))[0]
 
 

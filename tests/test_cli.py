@@ -21,7 +21,7 @@ from deta.cli import _adaptation_config, build_parser, main
 from deta.episodes import load_episode_file
 from deta.errors import DivergenceError
 from deta.harness import CellAggregate
-from oracles import load_report_json, stdlib_episode_bytes
+from oracles import load_report_json, same_episode, stdlib_episode_bytes
 
 
 def run(argv):
@@ -294,7 +294,7 @@ def test_episode_file_in_the_old_encoding_gives_the_same_outputs(tmp_path, capsy
     old = tmp_path / "old.json"
     old.write_bytes(stdlib_episode_bytes(episode))
     assert old.read_bytes() != episode_file.read_bytes()
-    assert load_episode_file(old) == episode
+    assert same_episode(load_episode_file(old), episode)
     capsys.readouterr()
     outputs = []
     for path in (episode_file, old):
@@ -466,7 +466,16 @@ _NO_PROCFS = pytest.mark.skipif(
 
 @pytest.mark.parametrize("command", ["bench", "adapt", "weights", "gen"])
 @pytest.mark.parametrize(
-    "kind", ["missing-directory", "directory", "dangling-link", pytest.param("proc", marks=_NO_PROCFS)]
+    "kind",
+    [
+        "missing-directory",
+        "directory",
+        "dangling-link",
+        pytest.param("proc", marks=_NO_PROCFS),
+        "empty",
+        "trailing-slash-new",
+        "trailing-slash-file",
+    ],
 )
 def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, episode_file, command, kind):
     import deta.cli as cli_module
@@ -481,8 +490,15 @@ def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, epi
     counted(harness_module, "run_episode")
     counted(cli_module, "load_episode_file")
     counted(cli_module, "generate_synthetic_episode")
-    # procfs takes no new file, even from root
-    out = {"directory": tmp_path, "proc": "/proc/r.csv"}.get(kind, tmp_path / "missing" / "r.csv")
+    old = tmp_path / "old.json"
+    old.write_bytes(b"old")
+    out = {
+        "directory": tmp_path,
+        "proc": "/proc/r.csv",  # procfs takes no new file, even from root
+        "empty": "",  # realpath("") is the working directory
+        "trailing-slash-new": f"{tmp_path / 'new'}/",  # realpath drops the "/"
+        "trailing-slash-file": f"{old}/",
+    }.get(kind, tmp_path / "missing" / "r.csv")
     if kind == "dangling-link":  # the check and the writer both follow it into the missing directory
         out, target = tmp_path / "link.csv", out
         out.symlink_to(target)
@@ -492,6 +508,8 @@ def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, epi
     assert run([command, "--out", str(out)] + source) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith("error: --out")
+    assert old.read_bytes() == b"old"
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("command", ["adapt", "weights"])
@@ -589,16 +607,19 @@ def _run_cli(argv, **kwargs):
 _BENCH_ONE = ["bench", "--episodes", "1", "--iterations", "1", "--noise-ratios", "0.3", "--out"]
 
 
-@pytest.mark.parametrize("out", ["/dev/stdout", "same-file"])
+@pytest.mark.parametrize("out", ["/dev/stdout", "same-file", "/dev/stderr", "same-file-as-stderr"])
 def test_out_naming_the_file_stdout_is_redirected_to_exits_before_any_work(tmp_path, out):
-    # Replacing that file would drop the summary line the command prints after the report.
-    stdout = tmp_path / "o.txt"
-    argv = _BENCH_ONE + [str(stdout) if out == "same-file" else out]
-    with open(stdout, "wb") as fh:
-        done = _run_cli(argv, stdout=fh, stderr=subprocess.PIPE)
+    # Replacing that file would drop what the command prints after the report:
+    # the summary lines on stdout, or an error line on stderr.
+    redirected = tmp_path / "o.txt"
+    argv = _BENCH_ONE + [out if out.startswith("/dev/") else str(redirected)]
+    stream = "stderr" if "stderr" in out else "stdout"
+    with open(redirected, "wb") as fh:
+        done = _run_cli(argv, **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: fh})
     assert done.returncode == 2
-    assert done.stderr.decode().startswith("error: --out")
-    assert stdout.read_bytes() == b""
+    printed = {"stdout": done.stdout, "stderr": done.stderr, stream: redirected.read_bytes()}
+    assert printed["stderr"].decode().startswith("error: --out")
+    assert printed["stdout"] == b""
     assert os.listdir(tmp_path) == ["o.txt"]
 
 
@@ -610,6 +631,13 @@ def test_out_naming_stdout_on_a_pipe_or_dev_null_writes_in_place(stdout):
     if stdout == subprocess.PIPE:
         assert done.stdout.startswith(b"cell_id,noise_type,")
         assert done.stdout.endswith(b"(1 ok, 0 failed)\n")
+
+
+def test_out_naming_stderr_on_a_pipe_writes_in_place():
+    done = _run_cli(_BENCH_ONE + ["/dev/stderr"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith(b"cell_id,noise_type,")
+    assert done.stdout.endswith(b"(1 ok, 0 failed)\n")
 
 
 def test_nesting_past_the_stack_is_refused_in_a_subprocess(tmp_path):

@@ -34,6 +34,7 @@ from oracles import (
     episode_from_samples,
     per_sample_episode,
     per_sample_resample,
+    same_episode,
     stdlib_episode_bytes,
     stdlib_load_episode_file,
 )
@@ -70,7 +71,7 @@ class TestGeneration:
     def test_determinism(self):
         a = make_episode(seed=11, label_noise_ratio=0.3, image_noise_ratio=0.2)
         b = make_episode(seed=11, label_noise_ratio=0.3, image_noise_ratio=0.2)
-        assert a == b
+        assert same_episode(a, b)
         assert episode_bytes(a) == episode_bytes(b)
         c = make_episode(seed=12, label_noise_ratio=0.3, image_noise_ratio=0.2)
         assert episode_bytes(a) != episode_bytes(c)
@@ -121,7 +122,7 @@ class TestGeneration:
         for seed in (0, 5, 2**40 + 3):
             got = generate_synthetic_episode(way, shot, k, d, cfg, seed, query_shot=query_shot)
             expected = per_sample_episode(way, shot, k, d, cfg, seed, query_shot=query_shot)
-            assert got == expected
+            assert same_episode(got, expected)
             assert got.seed == expected.seed
             assert got.redraw_scale == expected.redraw_scale
 
@@ -129,7 +130,7 @@ class TestGeneration:
 class TestCorruptLabels:
     def test_zero_ratio_identity(self):
         ep = make_episode()
-        assert corrupt_labels(ep, 0.0, seed=5) == ep
+        assert same_episode(corrupt_labels(ep, 0.0, seed=5), ep)
 
     def test_full_ratio_all_wrong(self):
         ep = corrupt_labels(make_episode(), 1.0, seed=5)
@@ -178,7 +179,7 @@ class TestSerialization:
         ep = make_episode(seed=4)
         path = tmp_path / "ep.json"
         save_episode_file(ep, path)
-        assert load_episode_file(path) == ep
+        assert same_episode(load_episode_file(path), ep)
 
     def test_round_trip_bytes_idempotent_with_noise(self, tmp_path):
         ep = make_episode(seed=4, label_noise_ratio=0.3, image_noise_ratio=0.1)
@@ -301,11 +302,11 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=match):
             load_episode_file(self._write(tmp_path, doc))
 
-    def test_number_subclasses_accepted_from_library_callers(self):
+    def test_numpy_float64_feature_values_rejected(self):
         doc = self._valid_doc()
         doc["support"][1]["regions"] = [[np.float64(0.0), np.float64(1.0)]]
-        ep = episode_from_dict(doc)
-        assert ep.regions[1:].tolist() == [[0.0, 1.0]]
+        with pytest.raises(SchemaError, match="feature must be a list of numbers"):
+            episode_from_dict(doc)
 
     def test_integer_beyond_float_range_rejected(self, tmp_path):
         doc = self._valid_doc()
@@ -411,7 +412,7 @@ class TestWriter:
         path = tmp_path / "ep.json"
         save_episode_file(ep, path)
         assert path.read_bytes() == self.golden(queries)
-        assert load_episode_file(path) == ep
+        assert same_episode(load_episode_file(path), ep)
 
     @pytest.mark.parametrize("load", [load_episode_file, stdlib_load_episode_file])
     @pytest.mark.parametrize("old_format", [False, True])
@@ -429,7 +430,7 @@ class TestWriter:
         for name in ("sample_ids", "query_ids", "labels", "query_labels", "region_offsets"):
             got, want = getattr(loaded, name).tolist(), getattr(ep, name).tolist()
             assert [(type(x), x) for x in got] == [(type(x), x) for x in want], name
-        assert loaded == ep
+        assert same_episode(loaded, ep)
 
     def test_generated_episode_bytes_equal_json_dump(self, tmp_path):
         ep = make_episode(seed=4, label_noise_ratio=0.3, image_noise_ratio=0.2)
@@ -439,7 +440,7 @@ class TestWriter:
         old = tmp_path / "old.json"
         old.write_bytes(stdlib_episode_bytes(ep))
         assert old.read_bytes() != path.read_bytes()
-        assert load_episode_file(old) == load_episode_file(path)
+        assert same_episode(load_episode_file(old), load_episode_file(path))
 
     @pytest.mark.parametrize("name", ["support_features", "regions", "query_features"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -800,11 +801,6 @@ class TestEpisodeInvariants:
     def test_bad_redraw_scale_rejected(self, scale):
         with pytest.raises(InvalidParameterError, match="redraw_scale"):
             replace(make_episode(), redraw_scale=scale)
-
-    def test_equality_ignores_seed_and_redraw_scale(self):
-        ep = make_episode()
-        assert ep.redraw_scale == pytest.approx(0.1 / 3.0)
-        assert replace(ep, seed=99, redraw_scale=None) == ep
 
     def test_noise_tags_accessor(self):
         ep = make_episode(seed=13, label_noise_ratio=0.2)

@@ -3,7 +3,9 @@
 The package re-exports nothing, so no import order is fixed for callers:
 a module that works only after another has been imported fails here. The
 source is also read as a whole: only episodes.write_output opens files for
-writing, so every output keeps its replace-on-success rule.
+writing, so every output keeps its replace-on-success rule, and every
+exception type but the base DetaError is raised somewhere, so none is kept
+that no caller can meet.
 """
 
 import ast
@@ -69,3 +71,16 @@ def test_only_write_output_opens_files_for_writing():
             (writers if id(call) in inside else elsewhere).append(f"{path.name}:{call.lineno}")
     assert len(writers) == 2, writers  # the temporary file and the in-place write
     assert elsewhere == [], f"files opened for writing outside episodes.write_output: {elsewhere}"
+
+
+def test_every_exception_type_is_raised_by_name():
+    errors = ast.parse((SRC / "deta" / "errors.py").read_text(encoding="utf-8"))
+    declared = {n.name for n in errors.body if isinstance(n, ast.ClassDef)} - {"DetaError"}
+    raised = set()
+    for path in (SRC / "deta").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert declared and declared <= raised, f"exception types nothing raises: {sorted(declared - raised)}"

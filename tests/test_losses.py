@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode, resample_regions
-from deta.errors import (
-    DegenerateVectorError,
-    EmptyClassError,
-    InvalidParameterError,
-    MissingWeightError,
-)
+from deta.errors import DegenerateVectorError, InvalidParameterError
 from deta.losses import (
     EmbeddingBatch,
     LossHyperparams,
@@ -155,7 +150,7 @@ class TestLocalCompactnessLoss:
     def test_missing_weight(self):
         rng = np.random.default_rng(6)
         batch, weights, _ = make_instance(rng)
-        with pytest.raises(MissingWeightError):
+        with pytest.raises(InvalidParameterError, match=r"region weights has shape \(7,\), expected \(8,\)"):
             local_compactness_loss(batch, weights[1:], tau=0.5)
 
     def test_large_weight_logits_stay_finite(self):
@@ -190,7 +185,7 @@ class TestPrototypes:
         assert np.linalg.norm(protos[0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyClassError):
+        with pytest.raises(InvalidParameterError, match=r"segments without members: \[0\]"):
             segment_mean(np.zeros((0, 2)), np.zeros(0, dtype=int), 1, weights=np.zeros(0))
 
 
@@ -235,6 +230,16 @@ class TestGlobalDispersionLoss:
         )
         value, _, _ = global_dispersion_loss(batch, np.ones(1), np.ones(2), pi=0.07)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_class_ids_with_a_gap_refused(self):
+        batch = EmbeddingBatch(
+            image_embeddings=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            region_embeddings=np.array([unit(1, 1)]),
+            sample_of=np.array([0]),
+            class_of=np.array([0, 2]),
+        )
+        with pytest.raises(InvalidParameterError, match=r"segments without members: \[1\]"):
+            global_dispersion_loss(batch, np.ones(1), np.ones(2), pi=0.07)
 
     def test_zero_weights_annihilate(self):
         rng = np.random.default_rng(9)

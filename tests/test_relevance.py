@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode, resample_regions
-from deta.errors import DegenerateVectorError, InvalidParameterError, MissingWeightError
+from deta.errors import DegenerateVectorError, InvalidParameterError
 from deta.relevance import (
     RegionIndex,
     RegionWeightTable,
@@ -212,12 +212,12 @@ class TestAccumulator:
         omega = accumulate_image_weights(
             None, self._table({0: (1.0,), 1: (1.0,)}).sample_means(), 0.7
         )
-        with pytest.raises(MissingWeightError):
+        with pytest.raises(InvalidParameterError, match="region weights cover 1 samples, accumulator holds 2"):
             accumulate_image_weights(omega, self._table({0: (1.0,)}).sample_means(), 0.7)
 
     def test_unknown_sample_raises(self):
         omega = accumulate_image_weights(None, self._table({0: (1.0,)}).sample_means(), 0.7)
-        with pytest.raises(MissingWeightError):
+        with pytest.raises(InvalidParameterError, match="region weights cover 2 samples, accumulator holds 1"):
             accumulate_image_weights(omega, self._table({0: (1.0,), 1: (1.0,)}).sample_means(), 0.7)
 
 
