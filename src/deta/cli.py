@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for configuration or input errors (including files
 that cannot be read or written), 3 when every episode of some benchmark cell
-diverged (or a single adaptation run did).
+failed: it diverged, or its labels could not be corrupted without emptying a
+class (or a single adaptation run diverged).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _preset_list(text: str) -> tuple[str, ...]:
     return names
 
 
-def _add_adaptation_flags(p: argparse.ArgumentParser, jitter: bool) -> None:
+def _add_adaptation_flags(p: argparse.ArgumentParser) -> None:
     a, hp = AdaptationConfig, LossHyperparams
     p.add_argument("--iterations", type=int, default=a.iterations)
     p.add_argument("--k-regions", type=int, default=a.k_regions)
@@ -66,8 +67,6 @@ def _add_adaptation_flags(p: argparse.ArgumentParser, jitter: bool) -> None:
     p.add_argument("--pi", type=float, default=hp.pi)
     p.add_argument("--gamma", type=float, default=a.momentum, help="image-weight momentum")
     p.add_argument("--lr", type=float, default=a.learning_rate)
-    if jitter:  # only loaded episodes are jittered, and bench generates synthetic ones
-        p.add_argument("--jitter", type=float, default=a.jitter)
     p.add_argument("--embed-dim", type=int, default=a.embed_dim)
     p.add_argument("--seed", type=int, default=7)
 
@@ -105,21 +104,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated presets, run in order on the same episodes: "
         + ", ".join(sorted(ABLATION_PRESETS)),
     )
-    bench.add_argument("--class-separation", type=float, default=b.class_separation)
-    bench.add_argument("--distractor-mix", type=float, default=b.distractor_mix)
     bench.add_argument("--out", required=True)
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_adaptation_flags(bench, jitter=False)
+    _add_adaptation_flags(bench)
 
-    adapt = sub.add_parser("adapt", help="adapt a single episode loaded from a JSON file")
-    adapt.add_argument("--episode", required=True)
-    adapt.add_argument("--out", required=True)
-    _add_adaptation_flags(adapt, jitter=True)
-
-    weights = sub.add_parser("weights", help="dump the per-iteration region/image weight trace")
-    weights.add_argument("--episode", required=True)
-    weights.add_argument("--out", required=True)
-    _add_adaptation_flags(weights, jitter=True)
+    for name, help_text in (
+        ("adapt", "adapt a single episode loaded from a JSON file"),
+        ("weights", "dump the per-iteration region/image weight trace"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--episode", required=True)
+        p.add_argument("--out", required=True)
+        _add_adaptation_flags(p)
+        # Only loaded episodes are jittered, and bench generates synthetic ones.
+        p.add_argument("--jitter", type=float, default=AdaptationConfig.jitter)
 
     gen = sub.add_parser("gen", help="generate a synthetic episode file")
     gen.add_argument("--way", type=int, default=b.way)
@@ -129,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--query-shot", type=int, default=b.query_shot)
     gen.add_argument("--label-noise", type=float, default=noise.label_noise_ratio)
     gen.add_argument("--image-noise", type=float, default=noise.image_noise_ratio)
-    gen.add_argument("--distractor-mix", type=float, default=noise.distractor_mix)
-    gen.add_argument("--class-separation", type=float, default=noise.class_separation)
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--out", required=True)
     return parser
@@ -147,8 +143,6 @@ def _cmd_bench(args) -> int:
         noise_ratios=args.noise_ratios,
         episodes_per_cell=args.episodes,
         adaptation=_adaptation_config(args),
-        distractor_mix=args.distractor_mix,
-        class_separation=args.class_separation,
         master_seed=args.seed,
     )
     # Episode seeds never depend on the ablation, so every preset runs the same episodes.
@@ -176,15 +170,15 @@ def _show(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def _load_and_adapt(args):
+def _cmd_adapt(args) -> int:
+    """Both adapt and weights: load, adapt, then write the state or the weight trace."""
     episode = load_episode_file(args.episode)
     state = adapt_task(episode, _adaptation_config(args))
     adapted_features(state, episode.support_features)  # raises if the last update blew up
-    return episode, state
-
-
-def _cmd_adapt(args) -> int:
-    episode, state = _load_and_adapt(args)
+    if args.command == "weights":
+        state.save_weights_csv(args.out)
+        print(f"weight trace written to {args.out}")
+        return EXIT_OK
     accuracy = evaluate(episode, state) if episode.query_labels.size else None
     baseline = plain_ncc_accuracy(episode) if episode.query_labels.size else None
     state.save_json(args.out)
@@ -194,20 +188,8 @@ def _cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _cmd_weights(args) -> int:
-    _, state = _load_and_adapt(args)
-    state.save_weights_csv(args.out)
-    print(f"weight trace written to {args.out}")
-    return EXIT_OK
-
-
 def _cmd_gen(args) -> int:
-    cfg = SyntheticNoiseConfig(
-        label_noise_ratio=args.label_noise,
-        image_noise_ratio=args.image_noise,
-        distractor_mix=args.distractor_mix,
-        class_separation=args.class_separation,
-    )
+    cfg = SyntheticNoiseConfig(label_noise_ratio=args.label_noise, image_noise_ratio=args.image_noise)
     episode = generate_synthetic_episode(
         args.way, args.shot, args.k_regions, args.dim, cfg, args.seed, query_shot=args.query_shot
     )
@@ -249,7 +231,7 @@ def main(argv=None) -> int:
     handlers = {
         "bench": _cmd_bench,
         "adapt": _cmd_adapt,
-        "weights": _cmd_weights,
+        "weights": _cmd_adapt,
         "gen": _cmd_gen,
     }
     try:

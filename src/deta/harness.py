@@ -45,7 +45,8 @@ class BenchmarkConfig:
 
     run_episode overrides adaptation.k_regions, adaptation.seed and
     adaptation.ablation per episode with k_regions, the episode seed and
-    ablation.
+    ablation. Its episodes use SyntheticNoiseConfig's default distractor mix
+    and class separation.
     """
 
     way: int = 5
@@ -58,8 +59,6 @@ class BenchmarkConfig:
     episodes_per_cell: int = 100
     ablation: AblationFlags = field(default_factory=AblationFlags)
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
-    distractor_mix: float = 0.5
-    class_separation: float = 3.0
     master_seed: int = 7
 
     def __post_init__(self):
@@ -79,8 +78,6 @@ class BenchmarkConfig:
             raise InvalidParameterError("invalid episode shape")
         if self.query_shot < 1:
             raise InvalidParameterError(f"query_shot must be >= 1, got {self.query_shot}")
-        # Checks the noise knobs here, before any episode of the sweep runs.
-        SyntheticNoiseConfig(distractor_mix=self.distractor_mix, class_separation=self.class_separation)
 
 
 @dataclass
@@ -158,20 +155,18 @@ def run_episode(cfg: BenchmarkConfig, ratio: float, ratio_index: int, index: int
     noise = SyntheticNoiseConfig(
         label_noise_ratio=ratio_eff if cfg.noise_type == "label" else 0.0,
         image_noise_ratio=ratio_eff if cfg.noise_type == "image" else 0.0,
-        distractor_mix=cfg.distractor_mix,
-        class_separation=cfg.class_separation,
-    )
-    episode = generate_synthetic_episode(
-        cfg.way, cfg.shot, cfg.k_regions, cfg.feature_dim, noise, seed, query_shot=cfg.query_shot
     )
     cell_id = f"{cfg.noise_type}-{ratio_eff:g}-{cfg.ablation.mask()}"
-    report = EpisodeReport(
-        cell_id=cell_id,
-        seed=seed,
-        noise_type=cfg.noise_type,
-        noise_ratio=ratio_eff,
-        noise_tags=by_sample_id(episode.sample_ids.tolist(), episode.noise),
-    )
+    report = EpisodeReport(cell_id=cell_id, seed=seed, noise_type=cfg.noise_type, noise_ratio=ratio_eff)
+    try:  # BenchmarkConfig checked the rest: only labels that cannot all be corrupted are refused
+        episode = generate_synthetic_episode(
+            cfg.way, cfg.shot, cfg.k_regions, cfg.feature_dim, noise, seed, query_shot=cfg.query_shot
+        )
+    except InvalidParameterError as exc:
+        report.failed = True
+        report.error = str(exc)
+        return report
+    report.noise_tags = by_sample_id(episode.sample_ids.tolist(), episode.noise)
     report.baseline_accuracy = plain_ncc_accuracy(episode)
 
     adapt_cfg = replace(cfg.adaptation, k_regions=cfg.k_regions, seed=seed, ablation=cfg.ablation)
@@ -192,7 +187,8 @@ def run_episode(cfg: BenchmarkConfig, ratio: float, ratio_index: int, index: int
 def run_benchmark(cfg: BenchmarkConfig) -> AggregateReport:
     """Run every cell of the sweep and aggregate paired accuracies.
 
-    Episodes that diverge are kept in the per-episode list, counted per cell
+    Episodes that diverge, or whose labels cannot be corrupted without
+    emptying a class, are kept in the per-episode list, counted per cell
     and excluded from the means. Episode seeds are keyed on a ratio's
     position in noise_ratios, not on its value: the 0.3 cell of (0.3,) and
     the 0.3 cell of (0.1, 0.3) run different episodes. Runs that differ only

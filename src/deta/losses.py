@@ -144,7 +144,8 @@ def global_dispersion_loss(
     n_regions = len(r)
     lam = _per_row(weights, n_regions, "region weights")
     w_img = _per_row(omega, len(e), "image weights")
-    if len(batch.class_of) != len(e) or np.any((batch.sample_of < 0) | (batch.sample_of >= len(e))):
+    bad_rows = np.any((batch.sample_of < 0) | (batch.sample_of >= len(e))) or np.any(batch.class_of < 0)
+    if len(batch.class_of) != len(e) or bad_rows:
         raise InvalidParameterError("region rows or classes do not match the image rows")
 
     class_of = batch.class_of

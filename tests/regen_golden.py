@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import platform
 import shutil
 import tempfile
@@ -57,7 +58,9 @@ def run_cases(workdir: Path) -> dict[str, bytes]:
     """Run every case in order inside workdir; returns file name -> bytes for each output and stdout."""
     shutil.copyfile(GOLDEN / SHUFFLED, workdir / SHUFFLED)
     produced = {}
-    with contextlib.chdir(workdir):
+    previous = os.getcwd()
+    os.chdir(workdir)  # not contextlib.chdir, which Python 3.10 lacks
+    try:
         for out, argv in CASES:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
@@ -66,6 +69,8 @@ def run_cases(workdir: Path) -> dict[str, bytes]:
                 raise AssertionError(f"{out}: deta {' '.join(argv)} exited {code}")
             produced[out] = Path(out).read_bytes()
             produced[f"{out}.stdout"] = stdout.getvalue().encode("utf-8")
+    finally:
+        os.chdir(previous)
     return produced
 
 

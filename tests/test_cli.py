@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import errno
@@ -207,6 +208,17 @@ class TestAdapt:
         assert not out.exists()
 
 
+def _option_strings(command: str) -> set[str]:
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for action in subcommands.choices[command]._actions for s in action.option_strings}
+
+
+def test_adapt_and_weights_take_the_same_flags():
+    assert _option_strings("adapt") == _option_strings("weights")
+    assert {"--episode", "--out", "--jitter", "--k-regions"} <= _option_strings("adapt")
+    assert "--jitter" not in _option_strings("bench")
+
+
 class TestWeights:
     def test_blown_up_last_step_is_divergence(self, tmp_path, capsys, episode_file):
         out = tmp_path / "weights.csv"
@@ -361,7 +373,6 @@ class TestBench:
             ("--pi", "nan", "pi"),
             ("--beta", "inf", "beta"),
             ("--jitter", "nan", "jitter"),  # on adapt: only loaded episodes are jittered
-            ("--class-separation", "nan", "class_separation"),
         ],
     )
     def test_non_finite_knob_exits_config_error(self, tmp_path, capsys, episode_file, flag, value, knob):
@@ -387,11 +398,38 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_jitter_is_not_a_bench_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("bench", "--jitter"),  # only loaded episodes are jittered
+            ("bench", "--distractor-mix"),
+            ("bench", "--class-separation"),
+            ("gen", "--distractor-mix"),
+            ("gen", "--class-separation"),
+        ],
+    )
+    def test_flag_is_not_on_the_command(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "r.csv"
+        args = self._bench_args(out) if command == "bench" else ["gen", "--out", str(out)]
         with pytest.raises(SystemExit) as exc:
-            run(self._bench_args(tmp_path / "r.csv") + ["--jitter", "0.9"])
+            run(args + [flag, "0.9"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --jitter 0.9" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_uncorruptible_label_cell_fails_alone(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        args = ["bench", "--way", "2", "--shot", "1", "--noise-ratios", "0.1,0.5", "--episodes", "2",
+                "--iterations", "2", "--out", str(out)]
+        assert run(args) == 3
+        printed = capsys.readouterr().out
+        assert "label-0.1-1111: " in printed and "(2 ok, 0 failed)" in printed
+        assert "label-0.5-1111: baseline=n/a deta=n/a delta=n/a (0 ok, 2 failed)" in printed
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["cell_id"], r["n_episodes"], r["n_failed"]) for r in rows] == [
+            ("label-0.1-1111", "2", "0"),
+            ("label-0.5-1111", "0", "2"),
+        ]
 
     def test_blown_up_episodes_fail_alone(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -92,6 +92,8 @@ class TestGeneration:
             SyntheticNoiseConfig(label_noise_ratio=1.5)
         with pytest.raises(InvalidParameterError):
             SyntheticNoiseConfig(class_separation=0.0)
+        with pytest.raises(InvalidParameterError, match="class_separation"):
+            SyntheticNoiseConfig(class_separation=float("nan"))
 
     def test_same_class_regions_more_similar(self):
         # class structure must be visible in region space for the weighting

@@ -88,6 +88,18 @@ class TestRunBenchmark:
             assert "iteration 2" in ep.error
             assert ep.baseline_accuracy is not None
 
+    def test_uncorruptible_labels_fail_their_episodes_not_the_sweep(self):
+        # One wrong label in a 2-way 1-shot episode always empties a class; at 0.1 none is wrong.
+        report = run_benchmark(tiny_config(way=2, shot=1, noise_ratios=(0.1, 0.5), episodes_per_cell=2))
+        assert [(c.cell_id, c.n_episodes, c.n_failed) for c in report.cells] == [
+            ("label-0.1-1111", 2, 0),
+            ("label-0.5-1111", 0, 2),
+        ]
+        for ep in report.episodes[2:]:
+            assert ep.failed
+            assert ep.error == "could not corrupt 1/2 labels without emptying a class"
+            assert ep.baseline_accuracy is None and ep.noise_tags == {}
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             tiny_config(noise_type="salt")

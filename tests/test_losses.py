@@ -241,6 +241,11 @@ class TestGlobalDispersionLoss:
         with pytest.raises(InvalidParameterError, match=r"segments without members: \[1\]"):
             global_dispersion_loss(batch, np.ones(1), np.ones(2), pi=0.07)
 
+    def test_negative_class_id_refused(self):
+        batch = EmbeddingBatch(np.eye(2), np.array([[1.0, 1.0]]), np.array([0]), np.array([-1, 0]))
+        with pytest.raises(InvalidParameterError, match="region rows or classes do not match the image rows"):
+            global_dispersion_loss(batch, np.ones(1), np.ones(2), pi=0.07)
+
     def test_zero_weights_annihilate(self):
         rng = np.random.default_rng(9)
         batch, weights, omega = make_instance(rng)
