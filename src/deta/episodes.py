@@ -35,6 +35,8 @@ _NOISE_TAGS = (NOISE_CLEAN, NOISE_IMAGE, NOISE_LABEL)
 EPISODE_FORMAT_VERSION = 1
 
 CROP_JITTER = 0.1  # a synthetic episode's region redraw scale, relative to the class spread
+DISTRACTOR_MIX = 0.5  # the share of an image-noisy sample's regions drawn around the distractor
+CLASS_SEPARATION = 3.0  # unit-norm class means; the per-coordinate spread is its inverse
 
 
 def _round_half_away(x: float) -> int:
@@ -44,29 +46,20 @@ def _round_half_away(x: float) -> int:
 
 @dataclass(frozen=True)
 class SyntheticNoiseConfig:
-    """Noise knobs for synthetic episode generation.
+    """Noise ratios for synthetic episode generation.
 
     label_noise_ratio / image_noise_ratio give the fraction of support
-    samples hit by each noise type. distractor_mix is the fraction of an
-    image-noisy sample's regions replaced by draws from a shared,
-    class-agnostic distractor distribution. class_separation controls how far
-    apart class mean directions are relative to the within-class spread
-    (the per-coordinate feature noise scale is 1/class_separation).
+    samples hit by each noise type.
     """
 
     label_noise_ratio: float = 0.0
     image_noise_ratio: float = 0.0
-    distractor_mix: float = 0.5
-    class_separation: float = 3.0
 
     def __post_init__(self):
-        for name in ("label_noise_ratio", "image_noise_ratio", "distractor_mix"):
+        for name in ("label_noise_ratio", "image_noise_ratio"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidParameterError(f"{name} must be in [0, 1], got {v}")
-        check_finite(class_separation=self.class_separation)
-        if self.class_separation <= 0.0:
-            raise InvalidParameterError("class_separation must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +158,8 @@ def generate_synthetic_episode(
     """Sample a synthetic episode with controllable image and label noise.
 
     Clean samples draw their image and k region features around a unit-norm
-    class mean with Gaussian spread 1/class_separation. Image-noisy samples
-    have a distractor_mix fraction of regions (and a commensurate part of the
+    class mean with Gaussian spread 1/CLASS_SEPARATION. Image-noisy samples
+    have a DISTRACTOR_MIX fraction of regions (and a commensurate part of the
     image feature) replaced by draws around a shared distractor direction.
     Label noise is applied last via corrupt_labels. Deterministic per seed.
     Region redraws jitter the stored regions at CROP_JITTER times the spread.
@@ -183,7 +176,7 @@ def generate_synthetic_episode(
     rng = np.random.default_rng(seed)
     dirs = _unit_directions(way + 1, d, rng)
     class_means, distractor_mean = dirs[:way], dirs[way]
-    sigma = 1.0 / cfg.class_separation
+    sigma = 1.0 / CLASS_SEPARATION
 
     n = way * shot
     labels = np.repeat(np.arange(way), shot)
@@ -194,15 +187,14 @@ def generate_synthetic_episode(
     images = means + draw[:, :d]
     regions = (means[:, None, :] + draw[:, d:].reshape(n, k, d)).reshape(n * k, d)
 
-    mix = cfg.distractor_mix
-    n_dist = min(k, _round_half_away(mix * k))
+    n_dist = _round_half_away(DISTRACTOR_MIX * k)
     noisy = rng.choice(n, size=_round_half_away(cfg.image_noise_ratio * n), replace=False)
     for pos in noisy.tolist():
         slots = rng.choice(k, size=n_dist, replace=False)
         regions[pos * k + slots] = distractor_mean + sigma * rng.standard_normal((n_dist, d))
         images[pos] = (
-            (1.0 - mix) * class_means[labels[pos]]
-            + mix * distractor_mean
+            (1.0 - DISTRACTOR_MIX) * class_means[labels[pos]]
+            + DISTRACTOR_MIX * distractor_mean
             + sigma * rng.standard_normal(d)
         )
     is_noisy = np.isin(np.arange(n), noisy)
@@ -237,8 +229,10 @@ def corrupt_labels(episode: TaskEpisode, ratio: float, seed: int) -> TaskEpisode
     each gets a label drawn uniformly from the classes other than its true
     one, in support order. True labels are preserved for evaluation, features
     are untouched. An assignment that would leave some class without any
-    support sample is redrawn, so the episode keeps satisfying its
-    class-coverage invariant.
+    support sample is redrawn, up to 1000 times, so the episode keeps
+    satisfying its class-coverage invariant. One label in an episode with one
+    correctly labelled sample per class always empties a class, so that case
+    is refused before any draw.
     """
     if not 0.0 <= ratio <= 1.0:
         raise InvalidParameterError(f"corruption ratio must be in [0, 1], got {ratio}")
@@ -248,8 +242,9 @@ def corrupt_labels(episode: TaskEpisode, ratio: float, seed: int) -> TaskEpisode
     rng = np.random.default_rng(seed)
     n, way = episode.n_support, episode.way
     n_corrupt = _round_half_away(ratio * n)
+    hopeless = n_corrupt == 1 and n == way and np.array_equal(episode.labels, episode.true_labels)
 
-    for _ in range(1000):
+    for _ in range(0 if hopeless else 1000):
         picked = np.sort(rng.choice(n, size=n_corrupt, replace=False))
         labels = episode.labels.copy()
         labels[picked] = (episode.true_labels[picked] + rng.integers(1, way, size=n_corrupt)) % way

@@ -45,8 +45,8 @@ class BenchmarkConfig:
 
     run_episode overrides adaptation.k_regions, adaptation.seed and
     adaptation.ablation per episode with k_regions, the episode seed and
-    ablation. Its episodes use SyntheticNoiseConfig's default distractor mix
-    and class separation.
+    ablation. Its episodes use the generator's fixed DISTRACTOR_MIX and
+    CLASS_SEPARATION; only the noise ratio varies between cells.
     """
 
     way: int = 5

@@ -29,18 +29,18 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
-def softmax(scores, segment_of=None) -> np.ndarray:
-    """Stable softmax of scores, over all scores or within each segment.
+def softmax(scores, segment_of) -> np.ndarray:
+    """Stable softmax of scores within each segment.
 
-    With segment_of, score i belongs to segment segment_of[i] (non-negative
-    ints) and each segment is normalized on its own, as one softmax call per
-    segment would do. Invariant under adding a constant to all scores of a
-    segment; output entries are positive and sum to one per segment.
+    Score i belongs to segment segment_of[i] (non-negative ints) and each
+    segment is normalized on its own, as one softmax call per segment would
+    do. Invariant under adding a constant to all scores of a segment; output
+    entries are positive and sum to one per segment.
     """
     z = _as_vector(scores, "scores")
     if z.size < 1:
         raise InvalidParameterError("softmax requires at least one score")
-    seg = np.zeros(z.shape, dtype=np.intp) if segment_of is None else np.asarray(segment_of)
+    seg = np.asarray(segment_of)
     if seg.shape != z.shape:
         raise InvalidParameterError(f"segment_of has shape {seg.shape}, scores {z.shape}")
     seg_max = np.full(seg.max() + 1, -np.inf)

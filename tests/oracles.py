@@ -18,6 +18,8 @@ import numpy as np
 import orjson
 
 from deta.episodes import (
+    CLASS_SEPARATION,
+    DISTRACTOR_MIX,
     NOISE_CLEAN,
     NOISE_IMAGE,
     NOISE_LABEL,
@@ -273,7 +275,7 @@ def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15):
     rng = np.random.default_rng(seed)
     dirs = _unit_directions(way + 1, d, rng)
     class_means, distractor_mean = dirs[:way], dirs[way]
-    sigma = 1.0 / cfg.class_separation
+    sigma = 1.0 / CLASS_SEPARATION
     n = way * shot
     support = []
     for c in range(way):
@@ -284,7 +286,7 @@ def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15):
                             "regions": regions, "true_label": c, "noise": NOISE_CLEAN})
     for sid in rng.choice(n, size=_round_half_away(cfg.image_noise_ratio * n), replace=False):
         s = support[int(sid)]
-        mix = cfg.distractor_mix
+        mix = DISTRACTOR_MIX
         n_dist = min(k, _round_half_away(mix * k))
         slots = rng.choice(k, size=n_dist, replace=False)
         s["regions"] = s["regions"].copy()

@@ -5,6 +5,7 @@ import pytest
 
 from deta.adaptation import AblationFlags, AdaptationConfig, adapt_task
 from deta.classifier import classify, evaluate, plain_ncc_accuracy, predict
+import deta.episodes as episodes_module
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode
 from deta.errors import DegenerateVectorError, InvalidParameterError
 from deta.numerics import segment_mean
@@ -107,17 +108,19 @@ class TestClassify:
 
 
 class TestEvaluate:
-    def test_consistent_queries_score_one(self):
-        ep = generate_synthetic_episode(
-            4, 8, 2, 32, SyntheticNoiseConfig(class_separation=6.0), seed=0
-        )
+    @pytest.fixture
+    def separable_episode(self, monkeypatch):
+        """A 4-way episode at twice the generator's class separation: every query is nearest its class."""
+        monkeypatch.setattr(episodes_module, "CLASS_SEPARATION", 6.0)
+        return generate_synthetic_episode(4, 8, 2, 32, SyntheticNoiseConfig(), seed=0)
+
+    def test_consistent_queries_score_one(self, separable_episode):
+        ep = separable_episode
         state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, seed=0))
         assert evaluate(ep, state) == 1.0
 
-    def test_adversarial_relabeling_scores_zero(self):
-        ep = generate_synthetic_episode(
-            4, 8, 2, 32, SyntheticNoiseConfig(class_separation=6.0), seed=0
-        )
+    def test_adversarial_relabeling_scores_zero(self, separable_episode):
+        ep = separable_episode
         state = adapt_task(ep, AdaptationConfig(iterations=1, learning_rate=0.0, seed=0))
         assert evaluate(ep, state) == 1.0
         shifted = replace(ep, query_labels=(ep.query_labels + 1) % ep.way)

@@ -90,10 +90,6 @@ class TestGeneration:
     def test_bad_noise_config(self):
         with pytest.raises(InvalidParameterError):
             SyntheticNoiseConfig(label_noise_ratio=1.5)
-        with pytest.raises(InvalidParameterError):
-            SyntheticNoiseConfig(class_separation=0.0)
-        with pytest.raises(InvalidParameterError, match="class_separation"):
-            SyntheticNoiseConfig(class_separation=float("nan"))
 
     def test_same_class_regions_more_similar(self):
         # class structure must be visible in region space for the weighting
@@ -154,6 +150,49 @@ class TestCorruptLabels:
     def test_bad_ratio(self):
         with pytest.raises(InvalidParameterError):
             corrupt_labels(make_episode(), 1.2, seed=0)
+
+    @staticmethod
+    def _count_choice_calls(monkeypatch) -> list:
+        """Make np.random.default_rng hand out generators that log each choice call."""
+        calls, default_rng = [], np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                calls.append(args)
+                return self._rng.choice(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        return calls
+
+    def test_one_label_in_a_one_shot_episode_is_refused_undrawn(self, monkeypatch):
+        ep = generate_synthetic_episode(5, 1, 2, 8, SyntheticNoiseConfig(), seed=0, query_shot=1)
+        calls = self._count_choice_calls(monkeypatch)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^could not corrupt 1/5 labels without emptying a class$"):
+            corrupt_labels(ep, 0.1, seed=0)
+        assert calls == []
+
+    def test_two_labels_in_a_one_shot_episode_keep_their_draws(self, monkeypatch):
+        ep = generate_synthetic_episode(4, 1, 2, 8, SyntheticNoiseConfig(), seed=0, query_shot=1)
+        calls = self._count_choice_calls(monkeypatch)
+        got = [corrupt_labels(ep, 0.5, seed=seed).labels.tolist() for seed in range(3)]
+        assert got == [[2, 1, 0, 3], [0, 3, 2, 1], [0, 1, 3, 2]]
+        assert len(calls) >= 3
+
+    def test_one_label_of_a_mislabelled_one_shot_episode_can_move(self):
+        # both labels of a 2-way 1-shot episode are swapped; moving one back keeps both classes
+        swapped = corrupt_labels(
+            generate_synthetic_episode(2, 1, 2, 8, SyntheticNoiseConfig(), seed=0, query_shot=1),
+            1.0, seed=0,
+        )
+        assert swapped.labels.tolist() == [1, 0]
+        assert corrupt_labels(swapped, 0.5, seed=3).labels.tolist() == [1, 0]
 
     def test_wrong_label_distribution_uniform(self):
         # offsets (new - true) mod C should be uniform over {1..C-1}

@@ -5,7 +5,8 @@ a module that works only after another has been imported fails here. The
 source is also read as a whole: only episodes.write_output opens files for
 writing, so every output keeps its replace-on-success rule, and every
 exception type but the base DetaError is raised somewhere, so none is kept
-that no caller can meet.
+that no caller can meet. Every source and test file parses as the declared
+Python floor, 3.10.
 """
 
 import ast
@@ -84,3 +85,11 @@ def test_every_exception_type_is_raised_by_name():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert declared and declared <= raised, f"exception types nothing raises: {sorted(declared - raised)}"
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(SRC.parent)) for top in (SRC, SRC.parent / "tests") for p in top.rglob("*.py")
+))
+def test_parses_as_python_3_10(path):
+    source = (SRC.parent / path).read_text(encoding="utf-8")
+    ast.parse(source, filename=path, feature_version=(3, 10))

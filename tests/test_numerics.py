@@ -10,33 +10,38 @@ from deta.numerics import segment_sum, softmax
 from oracles import GradCheckConfig, OracleFailure, finite_difference_gradient
 
 
+def one_segment(n):
+    """Segment ids that put all n scores in one softmax."""
+    return np.zeros(n, dtype=int)
+
+
 class TestSoftmax:
     def test_constant_scores_uniform(self):
         for temp in (0.07, 1.0, 5.0):
-            out = softmax(np.array([2.5, 2.5, 2.5]) / temp)
+            out = softmax(np.array([2.5, 2.5, 2.5]) / temp, one_segment(3))
             assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_single_element(self):
-        assert softmax((0.0,)).tolist() == [1.0]
+        assert softmax((0.0,), one_segment(1)).tolist() == [1.0]
 
     def test_exp_ratio(self):
-        out = softmax((math.log(2.0), 0.0))
+        out = softmax((math.log(2.0), 0.0), one_segment(2))
         assert abs(out[0] - 2.0 / 3.0) < 1e-12
         assert abs(out[1] - 1.0 / 3.0) < 1e-12
 
     def test_sums_to_one_and_positive(self):
-        out = softmax(np.linspace(-150, 150, 31) / 0.5)
+        out = softmax(np.linspace(-150, 150, 31) / 0.5, one_segment(31))
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out > 0.0)
 
     def test_extreme_scores_stay_finite(self):
-        out = softmax(np.array([-1e4, 0.0, 1e4]) / 0.07)
+        out = softmax(np.array([-1e4, 0.0, 1e4]) / 0.07, one_segment(3))
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) < 1e-12
 
     def test_shift_invariance(self):
-        scores = np.array([0.3, -1.2, 4.0])
-        assert np.allclose(softmax(scores), softmax(scores + 123.0), atol=1e-12)
+        scores, seg = np.array([0.3, -1.2, 4.0]), one_segment(3)
+        assert np.allclose(softmax(scores, seg), softmax(scores + 123.0, seg), atol=1e-12)
 
     @given(
         scores=st.lists(st.floats(-50, 50), min_size=2, max_size=8).map(np.array),
@@ -44,11 +49,12 @@ class TestSoftmax:
     )
     def test_permutation_equivariance(self, scores, seed):
         perm = np.random.default_rng(seed).permutation(scores.size)
-        assert np.allclose(softmax(scores)[perm], softmax(scores[perm]), atol=1e-12)
+        seg = one_segment(scores.size)
+        assert np.allclose(softmax(scores, seg)[perm], softmax(scores[perm], seg), atol=1e-12)
 
     def test_empty_scores(self):
         with pytest.raises(InvalidParameterError):
-            softmax(())
+            softmax((), one_segment(0))
 
 
 class TestSegmentedSoftmax:
@@ -67,7 +73,7 @@ class TestSegmentedSoftmax:
             members = segment_of == seg
             np.testing.assert_allclose(
                 out[members],
-                softmax(scores[members] / temp),
+                softmax(scores[members] / temp, one_segment(int(members.sum()))),
                 rtol=1e-13,
                 atol=np.finfo(np.float64).tiny,
             )
