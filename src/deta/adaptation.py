@@ -211,18 +211,17 @@ class IterationRecord:
 class AdaptedState:
     """Everything the inference stage needs after adaptation finished.
 
-    omega (the momentum-smoothed image weights) and final_image_weights (the
-    last trace record's image_weights, which predict uses) are (n,) arrays in
-    support order; sample_ids names their entries. trace holds one
-    IterationRecord per iteration: 8 * (3r + n) bytes of arrays for r region
-    rows, and about 11.3 KB in all at 10-way 10-shot k=4 and 3.6 KB at
-    5-way 10-shot k=2, as tracemalloc measures it. It grows with
-    cfg.iterations; run_episode drops each state once scored.
+    final_image_weights, the last trace record's image_weights, is the one (n,)
+    image-weight vector, in support order, that predict uses: omega, smoothed by
+    momentum, or the instantaneous weights without the accumulator. sample_ids
+    names its entries. trace holds one IterationRecord per iteration: 8 * (3r + n)
+    bytes of arrays for r region rows, and about 11.3 KB in all at 10-way 10-shot
+    k=4 and 3.6 KB at 5-way 10-shot k=2, as tracemalloc measures it. It grows
+    with cfg.iterations; run_episode drops each state once scored.
     """
 
     adapter: AdapterParams
     head: ProjectionHead
-    omega: np.ndarray
     sample_ids: tuple[int, ...]
     trace: list[IterationRecord]
 
@@ -234,7 +233,6 @@ class AdaptedState:
         return {
             "adapter": {name: v.tolist() for name, v in vars(self.adapter).items()},
             "head": {name: v.tolist() for name, v in vars(self.head).items()},
-            "omega": by_sample_id(self.sample_ids, self.omega),
             "final_image_weights": by_sample_id(self.sample_ids, self.final_image_weights),
             "iterations": len(self.trace),
             "loss_trace": [
@@ -246,7 +244,7 @@ class AdaptedState:
     def save_json(self, path) -> None:
         """Write to_dict() as one line of orjson; NaN and infinity, which it writes as null, are refused."""
         params = {f"{g}.{k}": v for g in ("adapter", "head") for k, v in vars(getattr(self, g)).items()}
-        check_finite(**params, omega=self.omega, final_image_weights=self.final_image_weights,
+        check_finite(**params, final_image_weights=self.final_image_weights,
                      loss_trace=[(r.l_local, r.l_global, r.combined) for r in self.trace])
         write_output(path, orjson.dumps(self.to_dict()) + b"\n")
 
@@ -351,10 +349,4 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
             grad = flat_gradient(head, img_cache, reg_cache, loss, x_img, x_reg)
             sgd_step(theta, grad, cfg.learning_rate, layout, iteration=t)
 
-    return AdaptedState(
-        adapter=adapter,
-        head=head,
-        omega=omega,
-        sample_ids=sample_ids,
-        trace=trace,
-    )
+    return AdaptedState(adapter=adapter, head=head, sample_ids=sample_ids, trace=trace)

@@ -70,7 +70,11 @@ class TaskEpisode:
     corrupted), true label true_labels[i], noise tag noise[i], image feature
     support_features[i] and stored regions
     regions[region_offsets[i]:region_offsets[i + 1]]; the count may differ per
-    sample. Treated as immutable after construction.
+    sample. Ids do not repeat within the support set or within the queries.
+    way and feature_dim are read from the arrays: every class in [0, way) has
+    a support sample, so way is one more than the largest label, and
+    feature_dim is the width of support_features. Treated as immutable after
+    construction.
 
     redraw_scale is set on synthetic episodes only: each redraw jitters every
     stored region at that scale, so iterations see perturbed views of the
@@ -78,8 +82,6 @@ class TaskEpisode:
     their stored regions instead.
     """
 
-    way: int
-    feature_dim: int
     sample_ids: np.ndarray  # (n,)
     labels: np.ndarray  # (n,)
     true_labels: np.ndarray  # (n,)
@@ -94,28 +96,32 @@ class TaskEpisode:
     redraw_scale: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        n, q, d = len(self.sample_ids), len(self.query_ids), self.feature_dim
-        if self.way < 2:
-            raise InvalidParameterError(f"an episode needs at least 2 classes, got {self.way}")
-        if self.way > n:
-            raise InvalidParameterError(
-                f"{self.way} classes but {n} support samples: every class needs one"
-            )
+        n, q = len(self.sample_ids), len(self.query_ids)
         offsets = self.region_offsets
         if not (
             self.labels.shape == self.true_labels.shape == self.noise.shape == (n,)
-            and self.support_features.shape == (n, d)
+            and self.support_features.ndim == 2
+            and len(self.support_features) == n
             and offsets.shape == (n + 1,)
             and offsets[0] == 0
             and np.all(offsets[1:] > offsets[:-1])
-            and self.regions.shape == (offsets[-1], d)
+            and self.regions.shape == (offsets[-1], self.feature_dim)
             and self.query_labels.shape == (q,)
-            and self.query_features.shape == (q, d)
+            and self.query_features.shape == (q, self.feature_dim)
         ):
             raise InvalidParameterError(
                 f"episode arrays do not fit {n} support samples with at least one region "
-                f"each, {q} queries and feature_dim {d}"
+                f"each, {q} queries and support_features of shape {self.support_features.shape}"
             )
+        for kind, ids in (("support", self.sample_ids), ("query", self.query_ids)):
+            seen: set = set()
+            for eid in ids.tolist():
+                if eid in seen:
+                    raise InvalidParameterError(f"repeated {kind} id {eid}")
+                seen.add(eid)
+        # way is 0 without labels; the range check runs before bincount, which raises on negatives.
+        if self.way < 2:
+            raise InvalidParameterError(f"an episode needs at least 2 classes, got {self.way}")
         for name in ("labels", "true_labels", "query_labels"):
             values = getattr(self, name)
             if np.any((values < 0) | (values >= self.way)):
@@ -128,6 +134,14 @@ class TaskEpisode:
             raise InvalidParameterError(
                 f"redraw_scale must be finite and non-negative, got {self.redraw_scale}"
             )
+
+    @property
+    def way(self) -> int:
+        return int(self.labels.max(initial=-1)) + 1
+
+    @property
+    def feature_dim(self) -> int:
+        return self.support_features.shape[1]
 
     @property
     def n_support(self) -> int:
@@ -202,8 +216,6 @@ def generate_synthetic_episode(
     query_labels = np.repeat(np.arange(way), query_shot)
     queries = class_means[query_labels] + sigma * rng.standard_normal((query_labels.size, d))
     episode = TaskEpisode(
-        way=way,
-        feature_dim=d,
         sample_ids=np.arange(n),
         labels=labels,
         true_labels=labels,
@@ -416,8 +428,6 @@ def episode_from_dict(doc: dict) -> TaskEpisode:
         _check_entry(entry, {"id", "label", "image_feature"}, "query", way, seen)
     query_ids = [entry["id"] for entry in queries]
     return TaskEpisode(
-        way=way,
-        feature_dim=d,
         sample_ids=np.array(ids),
         labels=labels,
         true_labels=labels,
@@ -541,13 +551,14 @@ def write_output(path, data: bytes) -> None:
     A write that raises leaves the old file, or none, and no temporary file;
     the temporary is not fsynced, so a crash or power loss may still leave a
     short file. Mode bits follow the umask; a link keeps naming the written file.
+    The temporary's name is 22 bytes whatever the output's, so any name that fits gets one.
     """
     target = output_target(path)
     if target is None:
         with open(path, "wb") as fh:
             fh.write(data)
         return
-    tmp = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
+    tmp = target.with_name(f".deta-{secrets.token_hex(6)}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:

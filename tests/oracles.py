@@ -153,7 +153,7 @@ def brute_global_loss(regions, weights, images, omega, sample_of, class_of, pi: 
     return total / len(regions)
 
 
-def episode_from_samples(way, feature_dim, support, queries=(), seed=0, redraw_scale=None):
+def episode_from_samples(feature_dim, support, queries=(), seed=0, redraw_scale=None):
     """The one place tests build an episode sample by sample.
 
     support entries are dicts with the wire-format keys id, label,
@@ -162,8 +162,6 @@ def episode_from_samples(way, feature_dim, support, queries=(), seed=0, redraw_s
     """
     regions = [np.asarray(s["regions"], dtype=np.float64).reshape(-1, feature_dim) for s in support]
     return TaskEpisode(
-        way=way,
-        feature_dim=feature_dim,
         sample_ids=np.array([s["id"] for s in support]),
         labels=np.array([s["label"] for s in support]),
         true_labels=np.array([s.get("true_label", s["label"]) for s in support]),
@@ -198,7 +196,7 @@ def episode_samples(episode):
 
 
 def same_episode(a: TaskEpisode, b: TaskEpisode) -> bool:
-    """Equal content: way, feature_dim and every array; seed and redraw_scale are provenance."""
+    """Equal content: every array, and so way and feature_dim; seed and redraw_scale are provenance."""
     return all(
         np.array_equal(getattr(a, f.name), getattr(b, f.name))
         for f in fields(TaskEpisode)
@@ -317,7 +315,7 @@ def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15):
         for pos in picked:
             support[pos]["label"] = new_labels[pos]
             support[pos]["noise"] = NOISE_LABEL
-    return episode_from_samples(way, d, support, queries, seed=seed, redraw_scale=0.1 * sigma)
+    return episode_from_samples(d, support, queries, seed=seed, redraw_scale=0.1 * sigma)
 
 
 def per_sample_resample(episode, k: int, jitter: float, seed: int) -> np.ndarray:

@@ -312,7 +312,6 @@ class TestAdaptTask:
         for t in trace:
             assert t.table.per_class_phi.shape == t.table.per_class_psi.shape == (ep.n_support * 2,)
             assert t.image_weights.shape == (ep.n_support,)
-        assert np.array_equal(trace[-1].image_weights, state.omega)
         assert trace[-1].image_weights is state.final_image_weights
 
     def test_state_serialization(self, tmp_path):
@@ -326,7 +325,6 @@ class TestAdaptTask:
         assert set(doc) == {
             "adapter",
             "head",
-            "omega",
             "final_image_weights",
             "iterations",
             "loss_trace",
@@ -349,10 +347,9 @@ class TestAdaptTask:
                 for group, params in (("adapter", state.adapter), ("head", state.head))
                 for name, value in vars(params).items()
             ]
-            pairs += [
-                ([doc[key][str(sid)] for sid in state.sample_ids], values)
-                for key, values in (("omega", state.omega), ("final_image_weights", state.final_image_weights))
-            ]
+            pairs.append(
+                ([doc["final_image_weights"][str(sid)] for sid in state.sample_ids], state.final_image_weights)
+            )
             assert len(doc["loss_trace"]) == len(state.trace)
             pairs += [
                 ([row["local"], row["global"], row["combined"]], [t.l_local, t.l_global, t.combined])
@@ -362,17 +359,13 @@ class TestAdaptTask:
                 stored, value = np.array(stored, dtype=np.float64), np.asarray(value, dtype=np.float64)
                 assert stored.tobytes() == value.tobytes()  # bit for bit, -0.0 included
 
-    @pytest.mark.parametrize("field", ["adapter.w", "head.b2", "omega", "final_image_weights", "loss_trace"])
+    @pytest.mark.parametrize("field", ["adapter.w", "head.b2", "final_image_weights", "loss_trace"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_refused_before_the_file_opens(self, tmp_path, field, value):
         state = adapt_task(small_episode(seed=3), fast_cfg(iterations=2))
         if field == "loss_trace":
             state.trace[-1] = dataclasses.replace(state.trace[-1], combined=value)
-        elif field == "omega":  # one array with the last record's image weights while the accumulator is on
-            state.omega = state.omega.copy()
-            state.omega[0] = value
         elif field == "final_image_weights":
-            state.trace[-1] = dataclasses.replace(state.trace[-1], image_weights=state.omega.copy())
             state.final_image_weights[0] = value
         else:
             group, name = field.split(".")

@@ -93,7 +93,7 @@ class TestAdapt:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["iterations"] == 3
-        assert len(doc["omega"]) == 12
+        assert len(doc["final_image_weights"]) == 12
 
     def test_missing_episode_file(self, tmp_path):
         code = run(["adapt", "--episode", str(tmp_path / "nope.json"), "--out", str(tmp_path / "s.json")])
@@ -295,9 +295,8 @@ class TestWeights:
         with open(csv_path) as fh:
             last = {int(r[1]): float(r[6]) for r in list(csv.reader(fh))[1:] if r[0] == "3"}
         doc = json.loads(state_path.read_text())
-        for name in ("omega", "final_image_weights"):
-            assert list(doc[name]) == [str(sid) for sid in sorted(last)]
-            assert {int(sid): w for sid, w in doc[name].items()} == last
+        assert list(doc["final_image_weights"]) == [str(sid) for sid in sorted(last)]
+        assert {int(sid): w for sid, w in doc["final_image_weights"].items()} == last
 
 
 def test_episode_file_in_the_old_encoding_gives_the_same_outputs(tmp_path, capsys, episode_file):
@@ -634,6 +633,21 @@ def test_out_naming_a_fifo_writes_through_it(tmp_path, capsys, episode_file, com
     assert received == [regular.read_bytes()]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([episode_file.name, "out.fifo", "regular"])
+
+
+@pytest.mark.parametrize("command", ["bench", "gen"])
+def test_out_with_a_250_byte_name_is_written(tmp_path, capsys, command):
+    # the temporary file beside it must fit too, whatever the output's name
+    out = tmp_path / ("r" * 246 + ".csv")
+    source = {
+        "bench": ["--way", "3", "--shot", "2", "--dim", "4", "--query-shot", "2", "--episodes", "2",
+                  "--iterations", "2", "--noise-ratios", "0.1,0.3"],
+        "gen": [],
+    }[command]
+    assert run([command, "--out", str(out)] + source) == 0
+    assert capsys.readouterr().err == ""
+    assert out.stat().st_size > 0
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 def _run_cli(argv, **kwargs):

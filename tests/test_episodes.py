@@ -51,7 +51,7 @@ def slot_tagged_episode(counts):
          "regions": np.array([[i, j, 1.0] for j in range(count)])}
         for i, count in enumerate(counts)
     ]
-    return episode_from_samples(2, 3, support)
+    return episode_from_samples(3, support)
 
 
 class TestGeneration:
@@ -449,7 +449,7 @@ class TestWriter:
 
     @pytest.mark.parametrize("queries", [QUERIES, []])
     def test_bytes_equal_json_dump_of_per_sample_dict(self, tmp_path, queries):
-        ep = episode_from_samples(2, 2, self.SUPPORT, queries)
+        ep = episode_from_samples(2, self.SUPPORT, queries)
         path = tmp_path / "ep.json"
         save_episode_file(ep, path)
         assert path.read_bytes() == self.golden(queries)
@@ -458,7 +458,7 @@ class TestWriter:
     @pytest.mark.parametrize("load", [load_episode_file, stdlib_load_episode_file])
     @pytest.mark.parametrize("old_format", [False, True])
     def test_edge_values_reload_bit_for_bit(self, tmp_path, load, old_format):
-        ep = episode_from_samples(2, 2, self.SUPPORT, self.QUERIES)
+        ep = episode_from_samples(2, self.SUPPORT, self.QUERIES)
         path = tmp_path / "ep.json"
         if old_format:
             path.write_bytes(stdlib_episode_bytes(ep))
@@ -577,7 +577,7 @@ def _differential_corpus() -> dict[str, bytes]:
         corpus[f"generated-{seed}"] = episode_bytes(make_episode(seed=seed, **noise))
         corpus[f"old-format-{seed}"] = stdlib_episode_bytes(make_episode(seed=seed, **noise))
     corpus["generated-edge-floats"] = TestWriter.golden(TestWriter.QUERIES)
-    written = episode_from_samples(2, 2, TestWriter.SUPPORT, TestWriter.QUERIES)
+    written = episode_from_samples(2, TestWriter.SUPPORT, TestWriter.QUERIES)
     corpus["old-format-edge-floats"] = stdlib_episode_bytes(written)
     return corpus
 
@@ -772,7 +772,7 @@ class TestResampleRegions:
              "regions": rng.standard_normal((count, 3))}
             for sid, count in zip((4, 1, 9, 0), (2, 5, 3, 7))
         ]
-        ep = episode_from_samples(2, 3, support)
+        ep = episode_from_samples(3, support)
         for k, draw_seed in ((1, 0), (2, 5), (2, 2**63 + 1)):
             expected = per_sample_resample(ep, k, jitter, draw_seed)
             assert np.array_equal(resample_regions(ep, k, jitter=jitter, seed=draw_seed), expected)
@@ -823,8 +823,40 @@ class TestResampleRegions:
 class TestEpisodeInvariants:
     def test_way_below_two_rejected(self):
         ep = make_episode()
-        with pytest.raises(InvalidParameterError):
-            replace(ep, way=1)
+        with pytest.raises(InvalidParameterError, match="at least 2 classes, got 1"):
+            replace(ep, labels=np.zeros_like(ep.labels))
+
+    def test_way_and_feature_dim_come_from_the_arrays(self):
+        ep = make_episode()
+        assert (ep.way, ep.feature_dim) == (5, 16)
+        assert {f.name for f in fields(TaskEpisode)}.isdisjoint({"way", "feature_dim"})
+        with pytest.raises(AttributeError):
+            ep.way = 6
+
+    @pytest.mark.parametrize("labels, message", [
+        ([], "at least 2 classes, got 0"),
+        ([-1, -2], "at least 2 classes, got 0"),
+        ([0, -1, 1], r"labels outside \[0, 2\)"),
+    ])
+    def test_empty_or_negative_labels_refused_by_deta(self, labels, message):
+        labels = np.array(labels, dtype=np.int64)
+        n = len(labels)
+        with pytest.raises(InvalidParameterError, match=message):
+            TaskEpisode(
+                sample_ids=np.arange(n), labels=labels, true_labels=labels,
+                noise=np.full(n, NOISE_CLEAN), support_features=np.zeros((n, 2)),
+                regions=np.zeros((n, 2)), region_offsets=np.arange(n + 1),
+                query_ids=np.arange(0), query_labels=np.arange(0), query_features=np.zeros((0, 2)),
+            )
+
+    @pytest.mark.parametrize("kind, name", [("support", "sample_ids"), ("query", "query_ids")])
+    def test_repeated_ids_refused(self, kind, name):
+        ep = make_episode()
+        ids = getattr(ep, name).copy()
+        ids[[3, 7]] = ids[2]
+        ids[9] = ids[8]
+        with pytest.raises(InvalidParameterError, match=f"^repeated {kind} id {ids[2]}$"):
+            replace(ep, **{name: ids})
 
     def test_arrays_that_do_not_fit_rejected(self):
         ep = make_episode()

@@ -5,14 +5,18 @@ a module that works only after another has been imported fails here. The
 source is also read as a whole: only episodes.write_output opens files for
 writing, so every output keeps its replace-on-success rule, and every
 exception type but the base DetaError is raised somewhere, so none is kept
-that no caller can meet. Every source and test file parses as the declared
-Python floor, 3.10.
+that no caller can meet. Every function, class and method of the package is
+used by the package, the benchmark or the console script, since what only
+tests use belongs in tests/oracles.py. Every source and test file parses as
+the declared Python floor, 3.10.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,6 +89,51 @@ def test_every_exception_type_is_raised_by_name():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert declared and declared <= raised, f"exception types nothing raises: {sorted(declared - raised)}"
+
+
+def _references(tree) -> list[str]:
+    """Names a tree refers to: names, attribute names, imported names and string constants.
+
+    Strings count because the benchmark's tracer names the methods it wraps by string.
+    """
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.append(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.append(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.append(node.value)
+    return refs
+
+
+def test_every_definition_is_used_outside_tests():
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    definitions = []  # (where, name, the definition's node)
+    package_refs = Counter()
+    for path in sorted((SRC / "deta").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        package_refs.update(_references(tree))
+        for node in tree.body:
+            if isinstance(node, defs):
+                definitions.append((f"{path.stem}.{node.name}", node.name, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (f"{path.stem}.{node.name}.{m.name}", m.name, m)
+                    for m in node.body
+                    if isinstance(m, defs[:2]) and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+    outside = set()
+    for path in (SRC.parent / "perfbench").glob("*.py"):
+        outside.update(_references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    outside.update(re.findall(r'"deta\.\w+:(\w+)"', (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")))
+    unused = [
+        where for where, name, node in definitions
+        if name not in outside and package_refs[name] <= _references(node).count(name)
+    ]
+    assert unused == [], f"defined in src/deta but used only by tests, if at all: {unused}"
 
 
 @pytest.mark.parametrize("path", sorted(

@@ -1,5 +1,6 @@
-"""Metamorphic properties of the whole pipeline under relabelings of the support set,
-and of the region weights under rescaling of the region features.
+"""Metamorphic properties of the whole pipeline under relabelings of the support set
+and reorderings of the queries, and of the region weights under rescaling of the
+region features.
 
 The episode is a loaded one (no redraw scale) whose support samples
 store exactly k regions, adapted with jitter 0: resampling then returns every
@@ -18,8 +19,8 @@ from deta.episodes import SyntheticNoiseConfig, episode_from_dict, generate_synt
 from deta.relevance import region_weights
 from oracles import episode_dict
 
-WAY, SHOT, K = 4, 3, 2
-N = WAY * SHOT
+WAY, SHOT, K, QUERY_SHOT = 4, 3, 2, 6
+N, Q = WAY * SHOT, WAY * QUERY_SHOT
 CFG = AdaptationConfig(iterations=6, k_regions=K, jitter=0.0, embed_dim=16, seed=3)
 # Reordering rows reorders floating-point sums, which moves each result by a few
 # ulps; 2**20 ulps at 1.0 (about 2.3e-10) leaves room for that to grow over the
@@ -37,7 +38,7 @@ def run(doc):
 @pytest.fixture(scope="module")
 def base():
     episode = generate_synthetic_episode(
-        WAY, SHOT, K, 12, SyntheticNoiseConfig(label_noise_ratio=0.25), seed=21, query_shot=6
+        WAY, SHOT, K, 12, SyntheticNoiseConfig(label_noise_ratio=0.25), seed=21, query_shot=QUERY_SHOT
     )
     doc = episode_dict(episode)
     return doc, *run(doc)
@@ -57,6 +58,17 @@ def test_support_order_and_ids_leave_omega_and_predictions(base, order, ids):
         assert abs(new_omega[position[ids[p]]] - omega[p]) <= TOL
     assert np.array_equal(new_pred, pred)
     assert np.abs(new_losses - losses).max() <= TOL
+
+
+@settings(max_examples=15)
+@given(order=st.permutations(range(Q)))
+def test_query_order_permutes_predictions_only(base, order):
+    # adaptation never reads the queries, so its results stay bit for bit
+    doc, omega, pred, losses = base
+    new_omega, new_pred, new_losses = run({**doc, "queries": [doc["queries"][j] for j in order]})
+    assert np.array_equal(new_pred, pred[order])
+    assert new_omega.tobytes() == omega.tobytes()
+    assert new_losses.tobytes() == losses.tobytes()
 
 
 @settings(max_examples=15)
