@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .episodes import TaskEpisode, resample_regions, write_output
+from .episodes import CLASS_SEPARATION, CROP_JITTER, TaskEpisode, resample_regions, write_output
 from .errors import DegenerateVectorError, DivergenceError, InvalidParameterError
 from .losses import EmbeddingBatch, LossHyperparams, LossValue, combined_loss
 from .numerics import check_finite
@@ -175,7 +175,7 @@ class AdaptationConfig:
     hp: LossHyperparams = field(default_factory=LossHyperparams)
     seed: int = 0
     embed_dim: int = 128
-    jitter: float = 0.05  # region perturbation for loaded episodes
+    jitter: float = CROP_JITTER / CLASS_SEPARATION  # scale of the noise added to each region redraw
     ablation: AblationFlags = field(default_factory=AblationFlags)
 
     def __post_init__(self):

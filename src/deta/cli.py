@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--episode", required=True)
         p.add_argument("--out", required=True)
         _add_adaptation_flags(p)
-        # Only loaded episodes are jittered, and bench generates synthetic ones.
+        # bench takes no --jitter and redraws at the default: no sweep needs another scale.
         p.add_argument("--jitter", type=float, default=AdaptationConfig.jitter)
 
     gen = sub.add_parser("gen", help="generate a synthetic episode file")

@@ -3,9 +3,9 @@
 An episode holds its support and query sets as arrays of pre-extracted
 feature vectors: one image feature and a set of stored region features per
 support sample, one feature per query, and id, label and noise-tag vectors.
-Each adaptation iteration redraws the region sets: synthetic episodes jitter
-every stored region at their redraw scale, loaded episodes subsample their
-stored regions and add jitter.
+Each adaptation iteration redraws the region sets by one rule, whether the
+episode was generated or loaded: take k of each sample's stored regions and
+add jitter.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import os
 import secrets
 import stat
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ _NOISE_TAGS = (NOISE_CLEAN, NOISE_IMAGE, NOISE_LABEL)
 
 EPISODE_FORMAT_VERSION = 1
 
-CROP_JITTER = 0.1  # a synthetic episode's region redraw scale, relative to the class spread
+CROP_JITTER = 0.1  # the default region redraw jitter, relative to the synthetic class spread
 DISTRACTOR_MIX = 0.5  # the share of an image-noisy sample's regions drawn around the distractor
 CLASS_SEPARATION = 3.0  # unit-norm class means; the per-coordinate spread is its inverse
 
@@ -75,11 +75,6 @@ class TaskEpisode:
     a support sample, so way is one more than the largest label, and
     feature_dim is the width of support_features. Treated as immutable after
     construction.
-
-    redraw_scale is set on synthetic episodes only: each redraw jitters every
-    stored region at that scale, so iterations see perturbed views of the
-    same crops. It is not serialized; loaded episodes have None and subsample
-    their stored regions instead.
     """
 
     sample_ids: np.ndarray  # (n,)
@@ -93,7 +88,6 @@ class TaskEpisode:
     query_labels: np.ndarray  # (q,)
     query_features: np.ndarray  # (q, d)
     seed: int = 0
-    redraw_scale: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n, q = len(self.sample_ids), len(self.query_ids)
@@ -130,10 +124,6 @@ class TaskEpisode:
             raise InvalidParameterError(f"unknown noise tag in {sorted(set(self.noise.tolist()))}")
         if np.any(np.bincount(self.labels, minlength=self.way) == 0):
             raise InvalidParameterError("every class must have at least one support sample")
-        if self.redraw_scale is not None and not 0.0 <= self.redraw_scale < math.inf:
-            raise InvalidParameterError(
-                f"redraw_scale must be finite and non-negative, got {self.redraw_scale}"
-            )
 
     @property
     def way(self) -> int:
@@ -176,7 +166,6 @@ def generate_synthetic_episode(
     have a DISTRACTOR_MIX fraction of regions (and a commensurate part of the
     image feature) replaced by draws around a shared distractor direction.
     Label noise is applied last via corrupt_labels. Deterministic per seed.
-    Region redraws jitter the stored regions at CROP_JITTER times the spread.
     """
     if way < 2 or shot < 1 or k < 1 or d < 2:
         raise InvalidParameterError(
@@ -227,7 +216,6 @@ def generate_synthetic_episode(
         query_labels=query_labels,
         query_features=queries,
         seed=seed,
-        redraw_scale=CROP_JITTER * sigma,
     )
     if cfg.label_noise_ratio > 0.0:
         episode = corrupt_labels(episode, cfg.label_noise_ratio, int(rng.integers(2**63)))
@@ -273,13 +261,13 @@ def corrupt_labels(episode: TaskEpisode, ratio: float, seed: int) -> TaskEpisode
 def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> np.ndarray:
     """Draw a fresh set of k regions per support sample, as one (n, k, d) array.
 
-    Row i holds the regions of the support sample at position i. A synthetic
-    episode takes k equal to its stored region count and adds Gaussian noise
-    at its redraw_scale to every stored region; jitter does not apply. A
-    loaded episode subsamples k of each sample's stored regions uniformly
-    without replacement and adds jitter-scaled Gaussian perturbation.
-    Deterministic for a fixed seed; pass a distinct seed per adaptation
-    iteration.
+    Row i holds the regions of the support sample at position i. When every
+    sample stores exactly k regions, all of them are taken, in stored order,
+    with no draw; otherwise each row is a uniform k-subset of its sample's
+    stored regions, without replacement. Then one (n, k, d) standard normal
+    draw scaled by jitter is added. A sample storing fewer than k regions is
+    refused. Deterministic for a fixed seed; pass a distinct seed per
+    adaptation iteration.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -289,22 +277,19 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
     n, d = episode.n_support, episode.feature_dim
     stored = episode.regions
     counts = np.diff(episode.region_offsets)
-    synthetic = episode.redraw_scale is not None
-    unfit = counts != k if synthetic else counts < k
-    if np.any(unfit):
-        pos = int(np.argmax(unfit))
-        need = f"exactly {k} in a synthetic episode" if synthetic else k
+    if np.any(counts < k):
+        pos = int(np.argmax(counts < k))
         raise InvalidParameterError(
-            f"sample {episode.sample_ids[pos]} stores {counts[pos]} regions, need {need}"
+            f"sample {episode.sample_ids[pos]} stores {counts[pos]} regions, need {k}"
         )
-    if synthetic:
-        # The generator fills its output in order, so one draw equals the per-sample draws.
-        return stored.reshape(n, k, d) + episode.redraw_scale * rng.standard_normal((n, k, d))
-    # One uniform key per stored slot, +inf past each sample's own count; the
-    # k smallest keys of a row are a uniform k-subset of that sample's slots.
-    keys = rng.random((n, int(counts.max())))
-    keys[np.arange(keys.shape[1]) >= counts[:, None]] = np.inf
-    slots = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+    if np.all(counts == k):
+        slots = np.arange(k)
+    else:
+        # One uniform key per stored slot, +inf past each sample's own count; the
+        # k smallest keys of a row are a uniform k-subset of that sample's slots.
+        keys = rng.random((n, int(counts.max())))
+        keys[np.arange(keys.shape[1]) >= counts[:, None]] = np.inf
+        slots = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
     out = stored[episode.region_offsets[:-1, None] + slots]
     if jitter > 0.0:
         out += jitter * rng.standard_normal((n, k, d))
@@ -354,17 +339,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_entry(entry, keys: set[str], kind: str, way: int, seen: set[int]) -> None:
-    """Check a support or query entry's keys, id and label; adds the id to seen."""
+def _check_entry(entry, keys: set[str], kind: str, way: int) -> None:
+    """Check a support or query entry's keys, id and label; TaskEpisode refuses repeated ids."""
     if not isinstance(entry, dict):
         raise SchemaError(f"{kind} entries must be objects")
     _require_keys(entry, keys, f"{kind} entry")
     eid, label = entry["id"], entry["label"]
     if not _is_int(eid):
         raise SchemaError(f"{kind} id must be an integer, got {eid!r}")
-    if eid in seen:
-        raise SchemaError(f"duplicate {kind} id {eid}")
-    seen.add(eid)
     if not _is_int(label) or not 0 <= label < way:
         name = "support sample" if kind == "support" else "query"
         raise SchemaError(f"{name} {eid}: label is an unknown class index {label!r}")
@@ -398,11 +380,10 @@ def episode_from_dict(doc: dict) -> TaskEpisode:
             f"way {way} exceeds the {len(support)} support samples: every class needs one"
         )
 
-    seen: set[int] = set()
     rows: list = []
     offsets = [0]
     for entry in support:
-        _check_entry(entry, {"id", "label", "image_feature", "regions"}, "support", way, seen)
+        _check_entry(entry, {"id", "label", "image_feature", "regions"}, "support", way)
         if not isinstance(entry["regions"], list) or not entry["regions"]:
             raise SchemaError(f"support sample {entry['id']}: needs at least one region")
         rows.extend(entry["regions"])
@@ -423,9 +404,8 @@ def episode_from_dict(doc: dict) -> TaskEpisode:
         listed = f"{empty[:_LISTED_CLASSES].tolist()}" + (f" and {more} more" if more > 0 else "")
         raise SchemaError(f"classes without support samples: {listed}")
 
-    seen = set()
     for entry in queries:
-        _check_entry(entry, {"id", "label", "image_feature"}, "query", way, seen)
+        _check_entry(entry, {"id", "label", "image_feature"}, "query", way)
     query_ids = [entry["id"] for entry in queries]
     return TaskEpisode(
         sample_ids=np.array(ids),

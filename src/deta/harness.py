@@ -43,10 +43,11 @@ ABLATION_PRESETS: dict[str, AblationFlags] = {
 class BenchmarkConfig:
     """One benchmark run: episode shape, noise sweep, ablation, adaptation knobs.
 
-    run_episode overrides adaptation.k_regions, adaptation.seed and
-    adaptation.ablation per episode with k_regions, the episode seed and
-    ablation. Its episodes use the generator's fixed DISTRACTOR_MIX and
-    CLASS_SEPARATION; only the noise ratio varies between cells.
+    run_episode overrides only adaptation.k_regions, adaptation.seed and
+    adaptation.ablation, per episode with k_regions, the episode seed and
+    ablation; adaptation.jitter is the region redraw scale of its episodes.
+    They use the generator's fixed DISTRACTOR_MIX and CLASS_SEPARATION; only
+    the noise ratio varies between cells.
     """
 
     way: int = 5

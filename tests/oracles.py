@@ -153,7 +153,7 @@ def brute_global_loss(regions, weights, images, omega, sample_of, class_of, pi: 
     return total / len(regions)
 
 
-def episode_from_samples(feature_dim, support, queries=(), seed=0, redraw_scale=None):
+def episode_from_samples(feature_dim, support, queries=(), seed=0):
     """The one place tests build an episode sample by sample.
 
     support entries are dicts with the wire-format keys id, label,
@@ -175,7 +175,6 @@ def episode_from_samples(feature_dim, support, queries=(), seed=0, redraw_scale=
             [q["image_feature"] for q in queries], dtype=np.float64
         ).reshape(len(queries), feature_dim),
         seed=seed,
-        redraw_scale=redraw_scale,
     )
 
 
@@ -196,11 +195,11 @@ def episode_samples(episode):
 
 
 def same_episode(a: TaskEpisode, b: TaskEpisode) -> bool:
-    """Equal content: every array, and so way and feature_dim; seed and redraw_scale are provenance."""
+    """Equal content: every array, and so way and feature_dim; seed is provenance."""
     return all(
         np.array_equal(getattr(a, f.name), getattr(b, f.name))
         for f in fields(TaskEpisode)
-        if f.name not in ("seed", "redraw_scale")
+        if f.name != "seed"
     )
 
 
@@ -315,32 +314,31 @@ def per_sample_episode(way, shot, k, d, cfg, seed, query_shot=15):
         for pos in picked:
             support[pos]["label"] = new_labels[pos]
             support[pos]["noise"] = NOISE_LABEL
-    return episode_from_samples(d, support, queries, seed=seed, redraw_scale=0.1 * sigma)
+    return episode_from_samples(d, support, queries, seed=seed)
 
 
 def per_sample_resample(episode, k: int, jitter: float, seed: int) -> np.ndarray:
     """resample_regions sample by sample, in support order.
 
-    A loaded episode first draws one (n, m) block of uniform keys, m the
-    largest stored count; each sample then takes its stored rows at the k
-    smallest keys among its own first count slots, in slot order, plus k
-    jitter rows. A synthetic episode, whose samples store exactly k regions,
-    adds one (k, d) draw at its redraw scale per sample.
+    Unless every sample stores exactly k regions, one (n, m) block of uniform
+    keys is drawn first, m the largest stored count, and each sample takes its
+    stored rows at the k smallest keys among its own first count slots, in
+    slot order; otherwise each sample takes all its rows. Each sample then
+    adds k jitter rows.
     """
     rng = np.random.default_rng(seed)
     d = episode.feature_dim
     out = np.empty((episode.n_support, k, d))
-    scale = episode.redraw_scale
     samples = episode_samples(episode)
-    if scale is None:
-        keys = rng.random((len(samples), max(len(s["regions"]) for s in samples)))
+    counts = [len(s["regions"]) for s in samples]
+    subsample = any(count != k for count in counts)
+    if subsample:
+        keys = rng.random((len(samples), max(counts)))
     for pos, s in enumerate(samples):
         stored = s["regions"]
-        if scale is not None:
-            out[pos] = stored + scale * rng.standard_normal((k, d))
-            continue
-        own = keys[pos, : len(stored)]
-        out[pos] = stored[np.sort(np.argsort(own, kind="stable")[:k])]
+        if subsample:
+            stored = stored[np.sort(np.argsort(keys[pos, : len(stored)], kind="stable")[:k])]
+        out[pos] = stored
         if jitter > 0.0:
             out[pos] += jitter * rng.standard_normal((k, d))
     return out

@@ -21,7 +21,12 @@ from deta.adaptation import (
     sgd_step,
 )
 from deta.classifier import classify, evaluate
-from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode
+from deta.episodes import (
+    SyntheticNoiseConfig,
+    generate_synthetic_episode,
+    load_episode_file,
+    save_episode_file,
+)
 from deta.errors import DegenerateVectorError, DivergenceError, InvalidParameterError
 from deta.numerics import segment_mean
 from oracles import fd_matches
@@ -251,6 +256,17 @@ class TestAdaptTask:
         assert np.array_equal(a.head.w2, b.head.w2)
         assert np.array_equal(a.final_image_weights, b.final_image_weights)
         assert [t.combined for t in a.trace] == [t.combined for t in b.trace]
+
+    def test_saved_and_loaded_episode_adapts_bitwise_alike(self, tmp_path):
+        ep = small_episode(seed=0)  # the seed a loaded episode has
+        path = tmp_path / "ep.json"
+        save_episode_file(ep, path)
+        a, b = adapt_task(ep, fast_cfg()), adapt_task(load_episode_file(path), fast_cfg())
+        assert np.array_equal(a.final_image_weights, b.final_image_weights)
+        assert [(t.l_local, t.l_global, t.combined) for t in a.trace] == [
+            (t.l_local, t.l_global, t.combined) for t in b.trace
+        ]
+        assert np.array_equal(a.adapter.w, b.adapter.w) and np.array_equal(a.adapter.b, b.adapter.b)
 
     def test_zero_lr_accuracy_equals_weighted_ncc_on_raw_features(self):
         ep = small_episode(seed=7)

@@ -371,7 +371,7 @@ class TestBench:
             ("--tau", "inf", "tau"),
             ("--pi", "nan", "pi"),
             ("--beta", "inf", "beta"),
-            ("--jitter", "nan", "jitter"),  # on adapt: only loaded episodes are jittered
+            ("--jitter", "nan", "jitter"),  # on adapt: bench has no --jitter flag
         ],
     )
     def test_non_finite_knob_exits_config_error(self, tmp_path, capsys, episode_file, flag, value, knob):
@@ -400,7 +400,7 @@ class TestBench:
     @pytest.mark.parametrize(
         "command,flag",
         [
-            ("bench", "--jitter"),  # only loaded episodes are jittered
+            ("bench", "--jitter"),  # bench redraws at the default jitter
             ("bench", "--distractor-mix"),
             ("bench", "--class-separation"),
             ("gen", "--distractor-mix"),
@@ -424,7 +424,7 @@ class TestBench:
         printed = capsys.readouterr().out
         assert "label-0.1-1111: " in printed and "(2 ok, 0 failed)" in printed
         assert "label-0.5-1111: baseline=n/a deta=n/a delta=n/a (0 ok, 2 failed)" in printed
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [(r["cell_id"], r["n_episodes"], r["n_failed"]) for r in rows] == [
             ("label-0.1-1111", "2", "0"),
             ("label-0.5-1111", "0", "2"),

@@ -16,6 +16,7 @@ from deta.harness import (
     CellAggregate,
     emit_report,
     run_benchmark,
+    run_episode,
 )
 from oracles import load_report_json
 
@@ -70,6 +71,14 @@ class TestRunBenchmark:
         cell = report.cells[0]
         assert cell.omega_separation is not None
         assert 0.0 <= cell.omega_separation_positive_fraction <= 1.0
+
+    def test_adaptation_jitter_is_the_redraw_scale(self):
+        default = run_episode(tiny_config(), 0.3, 0, 0)
+        again = run_episode(tiny_config(), 0.3, 0, 0)
+        wide = run_episode(tiny_config(adaptation=AdaptationConfig(iterations=3, embed_dim=16, jitter=0.2)),
+                           0.3, 0, 0)
+        assert default == again
+        assert wide.omega != default.omega and wide.loss_final != default.loss_final
 
     def test_divergent_episodes_counted_not_raised(self, monkeypatch):
         import deta.harness as harness_module

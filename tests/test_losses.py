@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -382,9 +381,9 @@ class TestCombinedLoss:
 def _knob_call(knob, value):
     """Call the one function that takes knob directly, bypassing the config dataclasses."""
     batch, weights, omega = make_instance(np.random.default_rng(23))
-    if knob == "jitter":  # a redraw_scale of None makes the in-memory episode follow the loaded rule
+    if knob == "jitter":
         ep = generate_synthetic_episode(2, 2, 2, 4, SyntheticNoiseConfig(), seed=1, query_shot=0)
-        return resample_regions(dataclasses.replace(ep, redraw_scale=None), 2, value, seed=0)
+        return resample_regions(ep, 2, value, seed=0)
     if knob == "tau":
         return local_compactness_loss(batch, weights, value)
     return global_dispersion_loss(batch, weights, omega, value)

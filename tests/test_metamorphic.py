@@ -2,10 +2,9 @@
 and reorderings of the queries, and of the region weights under rescaling of the
 region features.
 
-The episode is a loaded one (no redraw scale) whose support samples
-store exactly k regions, adapted with jitter 0: resampling then returns every
-stored region, so a run depends on the support set and not on how it is
-ordered or named.
+The episode's support samples store exactly k regions and it is adapted with
+jitter 0: resampling then returns every stored region, so a run depends on the
+support set and not on how it is ordered or named.
 """
 
 import numpy as np

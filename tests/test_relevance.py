@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deta.adaptation import AdaptationConfig
 from deta.episodes import SyntheticNoiseConfig, generate_synthetic_episode, resample_regions
 from deta.errors import DegenerateVectorError, InvalidParameterError
 from deta.relevance import (
@@ -234,7 +235,7 @@ class TestNoiseSeparation:
             sample_of = np.repeat(np.arange(ep.n_support), 2)
             omega = None
             for t in range(10):
-                drawn = resample_regions(ep, 2, jitter=0.0, seed=97 * i + t)
+                drawn = resample_regions(ep, 2, jitter=AdaptationConfig.jitter, seed=97 * i + t)
                 table = region_weights(drawn.reshape(-1, ep.feature_dim), sample_of, class_of)
                 omega = accumulate_image_weights(omega, table.sample_means(), 0.7)
             tags = ep.noise
