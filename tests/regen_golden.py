@@ -45,6 +45,10 @@ CASES: tuple[tuple[str, list[str]], ...] = (
     ("bench-image.json", ["bench", *_SHAPE, "--episodes", "2", "--iterations", "5",
                           "--noise-ratios", "0.3", "--noise-type", "image", "--ablation", "full,no-cora",
                           "--format", "json"]),
+    # 400 region rows: the local loss runs several 64-row bands, one of them partial.
+    ("bench-wide.json", ["bench", "--way", "10", "--shot", "10", "--k-regions", "4", "--dim", "128",
+                         "--query-shot", "5", "--episodes", "2", "--iterations", "5", "--noise-ratios", "0.3",
+                         "--noise-type", "image", "--format", "json"]),
     ("episode.json", ["gen", "--way", "3", "--shot", "3", "--dim", "6", "--query-shot", "2",
                       "--k-regions", "5", "--label-noise", "0.3", "--seed", "3"]),
     ("adapt-k3.json", ["adapt", "--episode", "episode.json", "--k-regions", "3", *_ADAPT]),
