@@ -70,7 +70,10 @@ def forward_features(adapter: AdapterParams, raw: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(
             f"feature dimension {x.shape[-1]} does not match adapter dimension {adapter.w.shape[1]}"
         )
-    return x + x @ adapter.w.T + adapter.b
+    out = x @ adapter.w.T
+    out += x
+    out += adapter.b
+    return out
 
 
 def adapter_backward(raw: np.ndarray, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,13 +83,15 @@ def adapter_backward(raw: np.ndarray, d_out: np.ndarray) -> tuple[np.ndarray, np
 
 def head_forward(head: ProjectionHead, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Project a batch of row vectors to unit embeddings, keeping the cache."""
-    pre1 = x @ head.w1.T + head.b1
+    pre1 = x @ head.w1.T
+    pre1 += head.b1
     hidden = np.maximum(pre1, 0.0)
-    pre2 = hidden @ head.w2.T + head.b2
-    norms = np.linalg.norm(pre2, axis=1)
+    out = hidden @ head.w2.T
+    out += head.b2
+    norms = np.linalg.norm(out, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateVectorError("projection produced a zero vector before normalization")
-    out = pre2 / norms[:, None]
+    out /= norms[:, None]
     return out, {"x": x, "pre1": pre1, "hidden": hidden, "out": out, "norms": norms}
 
 
@@ -100,8 +105,10 @@ def head_backward(
     """
     out, norms = cache["out"], cache["norms"]
     inner = (d_out * out).sum(axis=1, keepdims=True)
-    d_pre2 = (d_out - inner * out) / norms[:, None]
-    d_pre1 = (d_pre2 @ head.w2) * (cache["pre1"] > 0.0)
+    d_pre2 = d_out - inner * out
+    d_pre2 /= norms[:, None]
+    d_pre1 = d_pre2 @ head.w2
+    d_pre1 *= cache["pre1"] > 0.0
     d_w1, d_w2 = d_pre1.T @ cache["x"], d_pre2.T @ cache["hidden"]
     return (d_w1, d_pre1.sum(axis=0), d_w2, d_pre2.sum(axis=0)), d_pre1 @ head.w1
 
@@ -132,7 +139,10 @@ def flat_gradient(head, img_cache, reg_cache, loss: LossValue, x_img, x_reg) -> 
     head_reg, da_reg = head_backward(head, reg_cache, loss.region_grads)
     img = (*adapter_backward(x_img, da_img), *head_img)
     reg = (*adapter_backward(x_reg, da_reg), *head_reg)
-    return np.concatenate([(gi + gr).ravel() for gi, gr in zip(img, reg)])
+    grad = np.empty(sum(g.size for g in img))  # filled group by group, with no concatenate
+    for part, gi, gr in zip(np.split(grad, np.cumsum([g.size for g in img])[:-1]), img, reg):
+        np.add(gi, gr, out=part.reshape(gi.shape))
+    return grad
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, learning_rate: float, layout: dict, iteration=0):

@@ -283,16 +283,19 @@ def resample_regions(episode: TaskEpisode, k: int, jitter: float, seed: int) -> 
             f"sample {episode.sample_ids[pos]} stores {counts[pos]} regions, need {k}"
         )
     if np.all(counts == k):
-        slots = np.arange(k)
+        block = stored.reshape(n, k, d)  # a view: the rows are stored in this order
     else:
         # One uniform key per stored slot, +inf past each sample's own count; the
         # k smallest keys of a row are a uniform k-subset of that sample's slots.
         keys = rng.random((n, int(counts.max())))
         keys[np.arange(keys.shape[1]) >= counts[:, None]] = np.inf
         slots = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
-    out = stored[episode.region_offsets[:-1, None] + slots]
-    if jitter > 0.0:
-        out += jitter * rng.standard_normal((n, k, d))
+        block = stored[episode.region_offsets[:-1, None] + slots]
+    if jitter == 0.0:
+        return block.copy()
+    out = rng.standard_normal((n, k, d))
+    out *= jitter
+    out += block
     return out
 
 

@@ -93,6 +93,9 @@ def local_compactness_loss(
     gives both the log-sum-exp and the row softmax P, and the gradient with
     respect to w is ((P + P^T) w - 2 (W_c(r) - w_r)) / (tau * normalizer),
     with P's rows scaled by the partner counts.
+
+    Memory: one r x r matrix, exponentiated, scaled and symmetrized in place,
+    plus O(r * e) arrays and one 64 x r band at a time.
     """
     if not 0.0 < tau < np.inf:
         raise InvalidParameterError(f"tau must be finite and positive, got {tau}")
@@ -107,7 +110,6 @@ def local_compactness_loss(
     partners = counts[class_ids] - 1
 
     w = lam[:, None] * mat
-    same_sum = segment_sum(w, class_ids, len(counts))[class_ids] - w  # (W_c(r) - w_r)
     s = w @ w.T
     s /= tau
     np.fill_diagonal(s, -np.inf)
@@ -117,13 +119,23 @@ def local_compactness_loss(
     row_sum = ex.sum(axis=1)
     lse = row_max + np.log(row_sum)
 
+    ex *= (partners / row_sum)[:, None]  # P
+    # P + P^T in 64-row bands; `ex += ex.T` would copy ex.T, which overlaps its output.
+    for i in range(0, len(ex), 64):
+        band = ex[i : i + 64, i:] + ex[i:, i : i + 64].T
+        ex[i : i + 64, i:] = band
+        ex[i:, i : i + 64] = band.T
+    grad = ex @ w
+    del s, ex  # the r x r matrix goes before the (r, e) same-class sums are made
+
+    same_sum = segment_sum(w, class_ids, len(counts))[class_ids]
+    same_sum -= w  # (W_c(r) - w_r)
     pair_sum = float(np.einsum("ij,ij->", w, same_sum)) / tau
     value = float((-pair_sum + (partners * lse).sum()) / normalizer)
-
-    ex *= (partners / row_sum)[:, None]  # P
-    ex += ex.T  # P + P^T
-    grad_w = (ex @ w - 2.0 * same_sum) / (tau * normalizer)
-    return value, lam[:, None] * grad_w
+    grad -= 2.0 * same_sum
+    grad /= tau * normalizer
+    grad *= lam[:, None]
+    return value, grad
 
 
 def global_dispersion_loss(
@@ -168,14 +180,14 @@ def global_dispersion_loss(
     picked = logits[np.arange(n_regions), ycol]
     value = float(np.sum(lam * (lse - picked)) / n_regions)
 
-    onehot = np.zeros_like(q)
-    onehot[np.arange(n_regions), ycol] = 1.0
-    d = (lam[:, None] * (q - onehot)) / (pi * n_regions)  # d value / d cosines
+    q[np.arange(n_regions), ycol] -= 1.0  # q minus the one-hot targets
+    d = lam[:, None] * q / (pi * n_regions)  # d value / d cosines
 
     proto_unit = protos / p_norm[:, None]
-    a = d @ proto_unit
     srow = (d * cosines).sum(axis=1)
-    grad_r = a / r_norm[:, None] - (srow / r_norm**2)[:, None] * r
+    grad_r = d @ proto_unit
+    grad_r /= r_norm[:, None]
+    grad_r -= (srow / r_norm**2)[:, None] * r
 
     r_unit = r / r_norm[:, None]
     tcol = (d * cosines).sum(axis=0)
@@ -198,13 +210,13 @@ def combined_loss(
     The include flags exist for ablations; a disabled component contributes
     exactly zero to the value and the gradients.
     """
+    # The local loss runs first, so its r x r matrix is never live next to the gradient sums.
+    l_local, local_grads = local_compactness_loss(batch, weights, hp.tau) if include_local else (0.0, None)
     region_grads = np.zeros_like(batch.region_embeddings, dtype=np.float64)
     image_grads = np.zeros_like(batch.image_embeddings, dtype=np.float64)
-
-    l_local = 0.0
     if include_local:
-        l_local, local_grads = local_compactness_loss(batch, weights, hp.tau)
-        region_grads += hp.beta * local_grads
+        local_grads *= hp.beta
+        region_grads += local_grads
 
     l_global = 0.0
     if include_global:

@@ -75,7 +75,7 @@ def mean_relevance(features, sample_of, class_of) -> tuple[np.ndarray, np.ndarra
         raise DegenerateVectorError(f"zero-norm region feature at row {int(np.argmin(norms))}")
     sample_ids = np.asarray(sample_of)
     class_ids = np.asarray(class_of)[sample_ids]
-    if np.unique(class_ids).size < 2:
+    if class_ids.min() == class_ids.max():
         raise InvalidParameterError("relevance weighting requires at least 2 classes")
 
     unit = feats / norms[:, None]

@@ -30,6 +30,7 @@ from deta.episodes import (
 from deta.errors import InvalidParameterError, ParseError, SchemaError
 from deta.harness import AggregateReport, CellAggregate, EpisodeReport
 from deta.losses import EmbeddingBatch
+from deta.numerics import segment_sum
 from deta.relevance import RegionIndex, RegionWeightTable
 
 
@@ -128,6 +129,42 @@ def brute_local_loss(regions, weights, region_class, tau: float) -> float:
                 den += math.exp(weights[i] * weights[v] * _dot(regions[i], regions[v]) / tau)
             total += -math.log(num / den)
     return total / normalizer
+
+
+def reference_local_loss(batch: EmbeddingBatch, weights, tau: float) -> tuple[float, np.ndarray]:
+    """The local compactness loss as whole-matrix numpy: P + P^T by `ex += ex.T`.
+
+    deta's local_compactness_loss symmetrizes in bands to avoid the copy of
+    ex.T, with every float operation unchanged, so the two agree bitwise.
+    """
+    mat = np.asarray(batch.region_embeddings, dtype=np.float64)
+    lam = np.asarray(weights, dtype=np.float64)
+    class_ids = batch.class_of[batch.sample_of]
+    counts = np.bincount(class_ids)
+    normalizer = float(np.sum(counts * (counts - 1) / 2.0))
+    if normalizer == 0.0:
+        return 0.0, np.zeros_like(mat)
+
+    partners = counts[class_ids] - 1
+
+    w = lam[:, None] * mat
+    same_sum = segment_sum(w, class_ids, len(counts))[class_ids] - w  # (W_c(r) - w_r)
+    s = w @ w.T
+    s /= tau
+    np.fill_diagonal(s, -np.inf)
+    row_max = s.max(axis=1)
+    s -= row_max[:, None]
+    ex = np.exp(s, out=s)
+    row_sum = ex.sum(axis=1)
+    lse = row_max + np.log(row_sum)
+
+    pair_sum = float(np.einsum("ij,ij->", w, same_sum)) / tau
+    value = float((-pair_sum + (partners * lse).sum()) / normalizer)
+
+    ex *= (partners / row_sum)[:, None]  # P
+    ex += ex.T  # P + P^T
+    grad_w = (ex @ w - 2.0 * same_sum) / (tau * normalizer)
+    return value, lam[:, None] * grad_w
 
 
 def brute_global_loss(regions, weights, images, omega, sample_of, class_of, pi: float) -> float:

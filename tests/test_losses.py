@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oracles import (
     flatten_grads,
     make_instance,
     rebuild_batch,
+    reference_local_loss,
     validate_embedding_batch,
 )
 
@@ -159,6 +161,45 @@ class TestLocalCompactnessLoss:
         value, grads = local_compactness_loss(batch, big, tau=0.07)
         assert np.isfinite(value)
         assert np.all(np.isfinite(grads))
+
+
+def wide_local_instance(r: int, e: int):
+    """r one-region samples of width e, several classes plus a one-region class; every 7th weight 0."""
+    rng = np.random.default_rng(r * 1000 + e)
+    rows = rng.standard_normal((r, e))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    class_of = rng.integers(0, max(1, r // 8), size=r)
+    if r > 2:
+        class_of[-1] = class_of.max() + 1
+    weights = rng.uniform(0.4, 2.0, size=r)
+    weights[::7] = 0.0
+    return region_batch(rows, class_of), weights
+
+
+class TestLocalLossAgainstReference:
+    """The banded P + P^T equals the whole-matrix formula bit for bit, across band edges."""
+
+    @pytest.mark.parametrize("e", [3, 128])
+    @pytest.mark.parametrize("r", [2, 63, 64, 65, 129, 400])
+    def test_bitwise_equal(self, r, e):
+        batch, weights = wide_local_instance(r, e)
+        value, grads = local_compactness_loss(batch, weights, tau=0.5)
+        expected_value, expected_grads = reference_local_loss(batch, weights, 0.5)
+        assert value == expected_value
+        assert np.array_equal(grads, expected_grads)
+
+    def test_peak_memory_is_one_matrix_and_a_band(self):
+        """numpy reports its buffers to tracemalloc; `ex += ex.T` alone would add a second r x r copy."""
+        r = 512
+        batch, weights = wide_local_instance(r, 8)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            local_compactness_loss(batch, weights, tau=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1.75 * r * r * 8
 
 
 class TestPrototypes:
