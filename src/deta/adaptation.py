@@ -139,10 +139,8 @@ def flat_gradient(head, img_cache, reg_cache, loss: LossValue, x_img, x_reg) -> 
     head_reg, da_reg = head_backward(head, reg_cache, loss.region_grads)
     img = (*adapter_backward(x_img, da_img), *head_img)
     reg = (*adapter_backward(x_reg, da_reg), *head_reg)
-    grad = np.empty(sum(g.size for g in img))  # filled group by group, with no concatenate
-    for part, gi, gr in zip(np.split(grad, np.cumsum([g.size for g in img])[:-1]), img, reg):
-        np.add(gi, gr, out=part.reshape(gi.shape))
-    return grad
+    # Each sum is written into the image part's array, which backward made fresh for this call.
+    return np.concatenate([np.add(gi, gr, out=gi).ravel() for gi, gr in zip(img, reg)])
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, learning_rate: float, layout: dict, iteration=0):
