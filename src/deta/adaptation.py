@@ -10,7 +10,6 @@ Gradients are backpropagated by hand; weights never receive gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,49 +112,42 @@ def head_backward(
     return (d_w1, d_pre1.sum(axis=0), d_w2, d_pre2.sum(axis=0)), d_pre1 @ head.w1
 
 
-def param_layout(d: int, hidden: int, embed: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each parameter group, in the order of the flat parameter vector."""
-    return {"adapter.w": (d, d), "adapter.b": (d,), "head.w1": (hidden, d), "head.b1": (hidden,),
-            "head.w2": (embed, hidden), "head.b2": (embed,)}
+def named_params(adapter: AdapterParams, head: ProjectionHead) -> list[tuple[str, np.ndarray]]:
+    """The six parameter arrays with their names ("adapter.w", ..., "head.b2"), in field order."""
+    return [(f"{group}.{name}", array) for group, part in (("adapter", adapter), ("head", head))
+            for name, array in vars(part).items()]
 
 
-def _group_ends(layout: dict) -> np.ndarray:
-    return np.cumsum([math.prod(shape) for shape in layout.values()])
-
-
-def param_views(theta: np.ndarray, layout: dict) -> tuple[AdapterParams, ProjectionHead]:
-    """The adapter and the head as reshaped views of the flat parameter vector."""
-    parts = np.split(theta, _group_ends(layout)[:-1])
-    w, b, w1, b1, w2, b2 = map(np.reshape, parts, layout.values())
-    return AdapterParams(w, b), ProjectionHead(w1, b1, w2, b2)
-
-
-def flat_gradient(head, img_cache, reg_cache, loss: LossValue, x_img, x_reg) -> np.ndarray:
-    """Loss gradient over the flat parameters: the image rows' part plus the region rows' part.
+def gradients(head, img_cache, reg_cache, loss: LossValue, x_img, x_reg) -> tuple[np.ndarray, ...]:
+    """Loss gradient of each parameter array, in named_params order: image rows' part plus region rows'.
 
     x_img and x_reg are the raw adapter inputs of the rows in the two head caches.
+    Nothing is updated: every returned array is new.
     """
     head_img, da_img = head_backward(head, img_cache, loss.image_grads)
     head_reg, da_reg = head_backward(head, reg_cache, loss.region_grads)
     img = (*adapter_backward(x_img, da_img), *head_img)
     reg = (*adapter_backward(x_reg, da_reg), *head_reg)
     # Each sum is written into the image part's array, which backward made fresh for this call.
-    return np.concatenate([np.add(gi, gr, out=gi).ravel() for gi, gr in zip(img, reg)])
+    return tuple(np.add(gi, gr, out=gi) for gi, gr in zip(img, reg))
 
 
-def sgd_step(theta: np.ndarray, grad: np.ndarray, learning_rate: float, layout: dict, iteration=0):
-    """One plain gradient-descent step in place: theta <- theta - lr * grad, no momentum or decay.
+def sgd_step(params: list[tuple[str, np.ndarray]], grads, learning_rate: float, iteration=0):
+    """One plain gradient-descent step in place on each array: p <- p - lr * g, no momentum or decay.
 
-    A non-finite gradient raises DivergenceError naming the layout group of
-    its first bad entry.
+    params is a named_params list and grads one gradient per entry. Before any
+    array changes, a count or shape mismatch raises InvalidParameterError and a
+    non-finite gradient raises DivergenceError naming its first bad group.
     """
-    if grad.shape != theta.shape:
-        raise InvalidParameterError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
-    finite = np.isfinite(grad)
-    if not finite.all():
-        group = int(np.searchsorted(_group_ends(layout), np.argmin(finite), side="right"))
-        raise DivergenceError(f"non-finite gradient for {list(layout)[group]}", iteration=iteration)
-    theta -= learning_rate * grad
+    if len(grads) != len(params):
+        raise InvalidParameterError(f"{len(grads)} gradients for {len(params)} parameter arrays")
+    for (name, p), g in zip(params, grads):
+        if g.shape != p.shape:
+            raise InvalidParameterError(f"gradient shape {g.shape} != {name} shape {p.shape}")
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite gradient for {name}", iteration=iteration)
+    for (_, p), g in zip(params, grads):
+        p -= learning_rate * g
 
 
 @dataclass(frozen=True)
@@ -251,7 +243,7 @@ class AdaptedState:
 
     def save_json(self, path) -> None:
         """Write to_dict() as one line of orjson; NaN and infinity, which it writes as null, are refused."""
-        params = {f"{g}.{k}": v for g in ("adapter", "head") for k, v in vars(getattr(self, g)).items()}
+        params = dict(named_params(self.adapter, self.head))
         check_finite(**params, final_image_weights=self.final_image_weights,
                      loss_trace=[(r.l_local, r.l_global, r.combined) for r in self.trace])
         write_output(path, orjson.dumps(self.to_dict()) + b"\n")
@@ -282,13 +274,15 @@ def by_sample_id(sample_ids, values: np.ndarray) -> dict:
 def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     """Run the full adaptation loop on one episode.
 
-    Deterministic for a fixed (episode, config) pair. Raises DivergenceError,
-    tagged with the failing iteration, if an adapter output, the loss or a
-    gradient turns non-finite or, once the parameters have been updated, a
-    vector that needs a direction collapses to zero norm. A zero-norm vector
-    under the initial parameters is the input's fault and raises
-    DegenerateVectorError. Every per-iteration array follows support order, with the k
-    regions of each sample in consecutive rows. Overflow and invalid-value
+    Updates nothing it is given: it builds a fresh adapter and head, which
+    every iteration's sgd_step updates in place, and returns them in the
+    state with the trace. Deterministic for a fixed (episode, config) pair.
+    Raises DivergenceError, tagged with the failing iteration, if an adapter
+    output, the loss or a gradient turns non-finite or, once the parameters
+    have been updated, a vector that needs a direction collapses to zero norm.
+    A zero-norm vector under the initial parameters is the input's fault and
+    raises DegenerateVectorError. Every per-iteration array follows support
+    order, with the k regions of each sample in consecutive rows. Overflow and invalid-value
     warnings are silenced: the explicit checks above report a blow-up.
     """
     d = episode.feature_dim
@@ -298,11 +292,8 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
     init_ss, iter_ss = base.spawn(2)
     iter_seeds = iter_ss.generate_state(cfg.iterations, dtype=np.uint64)
 
-    layout = param_layout(d, d, cfg.embed_dim)
     adapter, head = init_adapter(d), init_head(d, d, cfg.embed_dim, np.random.default_rng(init_ss))
-    parts = (adapter.w, adapter.b, head.w1, head.b1, head.w2, head.b2)
-    theta = np.concatenate([p.ravel() for p in parts])
-    adapter, head = param_views(theta, layout)  # sgd_step updates theta, and so both, in place
+    params = named_params(adapter, head)  # sgd_step updates these arrays, and so both, in place
     omega = None
 
     sample_ids = tuple(episode.sample_ids.tolist())
@@ -354,7 +345,7 @@ def adapt_task(episode: TaskEpisode, cfg: AdaptationConfig) -> AdaptedState:
         trace.append(IterationRecord(table, omega_used, loss.l_local, loss.l_global, loss.combined))
 
         if train:
-            grad = flat_gradient(head, img_cache, reg_cache, loss, x_img, x_reg)
-            sgd_step(theta, grad, cfg.learning_rate, layout, iteration=t)
+            grads = gradients(head, img_cache, reg_cache, loss, x_img, x_reg)
+            sgd_step(params, grads, cfg.learning_rate, iteration=t)
 
     return AdaptedState(adapter=adapter, head=head, sample_ids=sample_ids, trace=trace)

@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: diverged at iteration {exc.iteration}: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DetaError, OSError) as exc:
+    except (DetaError, OSError, MemoryError) as exc:  # MemoryError: a shape too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,13 +7,17 @@ paths, and keeps its output file and its stdout. test_golden.py reruns the
 same cases and compares bytes. A declared output change reruns this script
 in the same change and lists each rewritten file in CHANGES.md.
 
-Float bytes depend on numpy, on the BLAS and on the CPU's kernels, so the
-set records the machine it was made on in MACHINE.json.
+Float bytes depend on numpy, on the BLAS, on its thread count and on the
+CPU's kernels, so the set records the machine it was made on in
+MACHINE.json, with the CPUs the process may use and the BLAS thread
+variables that perfbench pins. The set is made with none of them set, so
+under OpenBLAS's default threading.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -29,6 +33,7 @@ from deta.cli import main
 from deta.harness import ABLATION_PRESETS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH_RUN = GOLDEN.parents[1] / "perfbench" / "run.py"
 MACHINE = "MACHINE.json"
 # Hand-written: two classes, support ids stored out of order, 3 or 4 stored regions per sample.
 SHUFFLED = "shuffled-episode.json"
@@ -78,8 +83,19 @@ def run_cases(workdir: Path) -> dict[str, bytes]:
     return produced
 
 
+def _thread_vars() -> tuple[str, ...]:
+    """perfbench's THREAD_VARS, read from its run.py so both name the same variables."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.THREAD_VARS
+
+
 def machine() -> dict:
-    """What the float bytes depend on: versions, BLAS, CPU model and numpy's SIMD dispatch."""
+    """What the float bytes depend on: versions, BLAS and its threads, CPU model and numpy's SIMD dispatch.
+
+    An unset thread variable is recorded as None.
+    """
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     cpu = platform.processor() or platform.machine()
@@ -93,6 +109,8 @@ def machine() -> dict:
         "blas": f"{blas['name']} {blas['version']}",
         "cpu": cpu,
         "simd": config["SIMD Extensions"]["found"],
+        "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "thread_env": {var: os.environ.get(var) for var in _thread_vars()},
     }
 
 

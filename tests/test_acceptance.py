@@ -17,8 +17,8 @@ from deta.adaptation import (
     AdapterParams,
     ProjectionHead,
     adapt_task,
-    flat_gradient,
     forward_features,
+    gradients,
     head_forward,
     init_adapter,
     init_head,
@@ -201,7 +201,7 @@ def test_criterion_1_gradient_suite():
             loss, _, img_cache, reg_cache = _pipeline_loss(
                 x, r, keys, labels, lam, omega, adapter, head
             )
-            grad = flat_gradient(head, img_cache, reg_cache, loss, x, r)
+            grad = np.concatenate([g.ravel() for g in gradients(head, img_cache, reg_cache, loss, x, r)])
 
             def f_adapter(vec, head=head):
                 probe = AdapterParams(w=vec[: d * d].reshape(d, d), b=vec[d * d :])
@@ -217,7 +217,7 @@ def test_criterion_1_gradient_suite():
             loss, _, img_cache, reg_cache = _pipeline_loss(
                 x, r, keys, labels, lam, omega, adapter, head
             )
-            grad = flat_gradient(head, img_cache, reg_cache, loss, x, r)
+            grad = np.concatenate([g.ravel() for g in gradients(head, img_cache, reg_cache, loss, x, r)])
             shapes = [(hidden, d), (hidden,), (embed, hidden), (embed,)]
             sizes = [int(np.prod(s)) for s in shapes]
 

@@ -17,7 +17,7 @@ from deta.adaptation import (
     head_forward,
     init_adapter,
     init_head,
-    param_layout,
+    named_params,
     sgd_step,
 )
 from deta.classifier import classify, evaluate
@@ -139,47 +139,55 @@ class TestProjectionHead:
 
 
 class TestSgdStep:
-    LAYOUT = {"p": (2,)}
-
     def test_zero_learning_rate_is_identity(self):
-        theta = np.array([1.0, 2.0])
-        sgd_step(theta, np.array([3.0, -4.0]), 0.0, self.LAYOUT)
-        assert np.array_equal(theta, [1.0, 2.0])
+        p = np.array([1.0, 2.0])
+        sgd_step([("p", p)], (np.array([3.0, -4.0]),), 0.0)
+        assert np.array_equal(p, [1.0, 2.0])
 
     def test_arithmetic(self):
-        theta = np.array([1.0])
-        sgd_step(theta, np.array([2.0]), 0.1, {"p": (1,)})
-        assert theta[0] == pytest.approx(0.8, abs=1e-15)
+        p = np.array([1.0])
+        sgd_step([("p", p)], (np.array([2.0]),), 0.1)
+        assert p[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_two_small_steps_equal_one_double_step_on_linear_loss(self):
         twice, once = np.array([1.0, -0.5]), np.array([1.0, -0.5])
-        grad = np.array([0.5, 0.25])
-        sgd_step(twice, grad, 0.25, self.LAYOUT)
-        sgd_step(twice, grad, 0.25, self.LAYOUT)
-        sgd_step(once, grad, 0.5, self.LAYOUT)
+        grad = (np.array([0.5, 0.25]),)
+        sgd_step([("p", twice)], grad, 0.25)
+        sgd_step([("p", twice)], grad, 0.25)
+        sgd_step([("p", once)], grad, 0.5)
         assert np.array_equal(twice, once)
 
     def test_non_finite_gradient(self):
         with pytest.raises(DivergenceError) as exc:
-            sgd_step(np.ones(2), np.array([1.0, np.inf]), 0.1, self.LAYOUT, iteration=7)
+            sgd_step([("p", np.ones(2))], (np.array([1.0, np.inf]),), 0.1, iteration=7)
         assert exc.value.iteration == 7
 
     def test_shape_mismatch(self):
+        p, q = np.ones(2), np.ones(2)
+        with pytest.raises(InvalidParameterError, match="q shape"):
+            sgd_step([("p", p), ("q", q)], (np.ones(2), np.ones(3)), 0.1)
+        assert np.array_equal(p, np.ones(2))
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_count_mismatch(self, count):
+        p = np.ones(2)
         with pytest.raises(InvalidParameterError):
-            sgd_step(np.ones(2), np.ones(3), 0.1, self.LAYOUT)
+            sgd_step([("p", p)], (np.ones(2),) * count, 0.1)
+        assert np.array_equal(p, np.ones(2))
 
     @pytest.mark.parametrize("group", range(6))
     def test_non_finite_entry_names_its_group(self, group):
-        layout = param_layout(3, 4, 2)
-        sizes = [int(np.prod(shape)) for shape in layout.values()]
-        theta = np.ones(sum(sizes))
-        grad = np.zeros_like(theta)
-        last = sum(sizes[: group + 1]) - 1  # the group's last entry; later groups are bad too
-        grad[last:] = np.nan
-        with pytest.raises(DivergenceError, match=f"for {list(layout)[group]}$") as exc:
-            sgd_step(theta, grad, 0.1, layout, iteration=5)
+        adapter, head = init_adapter(3), init_head(3, 4, 2, np.random.default_rng(0))
+        params = named_params(adapter, head)
+        before = [p.copy() for _, p in params]
+        grads = [np.zeros_like(p) for _, p in params]
+        grads[group].flat[-1] = np.nan  # the group's last entry; later groups are bad too
+        for g in grads[group + 1:]:
+            g[...] = np.nan
+        with pytest.raises(DivergenceError, match=f"for {params[group][0]}$") as exc:
+            sgd_step(params, grads, 0.1, iteration=5)
         assert exc.value.iteration == 5
-        assert np.array_equal(theta, np.ones_like(theta))
+        assert all(np.array_equal(p, b) for (_, p), b in zip(params, before))
 
 
 class TestAdaptTask:

@@ -319,6 +319,23 @@ def test_episode_file_in_the_old_encoding_gives_the_same_outputs(tmp_path, capsy
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command, name", [("adapt", "adapt_task"), ("bench", "run_benchmark")])
+def test_out_of_memory_is_a_configuration_error(tmp_path, capsys, monkeypatch, episode_file, command, name):
+    # stands in for a shape too large to allocate, such as --embed-dim 100000000000
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+    import deta.cli as cli_module
+
+    monkeypatch.setattr(cli_module, name, out_of_memory)
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "adapt":
+        argv += ["--episode", str(episode_file)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 2.91 TiB for an array\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestBench:
     def _bench_args(self, out, fmt="csv"):
         return [

@@ -7,7 +7,8 @@ writing, so every output keeps its replace-on-success rule, and every
 exception type but the base DetaError is raised somewhere, so none is kept
 that no caller can meet. Every function, class and method of the package is
 used by the package, the benchmark or the console script, since what only
-tests use belongs in tests/oracles.py. Every source and test file parses as
+tests use belongs in tests/oracles.py, and every module-level import is used
+by its module, so a deletion leaves no import behind. Every source and test file parses as
 the declared Python floor, 3.10.
 """
 
@@ -134,6 +135,18 @@ def test_every_definition_is_used_outside_tests():
         if name not in outside and package_refs[name] <= _references(node).count(name)
     ]
     assert unused == [], f"defined in src/deta but used only by tests, if at all: {unused}"
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted((SRC / "deta").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in names]
+    assert unused == [], f"imported but never used: {unused}"
 
 
 @pytest.mark.parametrize("path", sorted(
